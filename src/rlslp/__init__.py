@@ -8,9 +8,8 @@ engine, and a benchmark harness.
 """
 
 from .dataset import gen_dataset, load_sample
-from .engine import (LevelGrammar, RunVector, bcomp, compute_nocc,
-                     compute_runs, collect_pair_frequencies, pcomp,
-                     recompress)
+from .engine import (LevelGrammar, bcomp, compute_nocc,
+                     collect_pair_frequencies, pcomp, recompress)
 from .grammar import (FormatError, Grammar, GrammarError, GrammarSize,
                       RunRule, SeqRule, ValidationReport, decode_grammar,
                       encode_grammar, expand, expansion_lengths,
@@ -21,9 +20,10 @@ from .lz import (Factorization, ParseError, Phrase, decode_factorization,
                  factorization_stats, parse_bentley_mcilroy,
                  parse_exact_lz77)
 from .naive import recompress_string
-from .partition import (PairMaps, Partition, PartitionError,
-                        PartitionSource, RecompressResult, RoundRecord,
-                        STRATEGIES, deterministic_partition, make_partition,
+from .partition import (ConvergenceError, PairMaps, Partition,
+                        PartitionError, PartitionSource, RecompressResult,
+                        RoundRecord, STRATEGIES, deterministic_partition,
+                        make_partition,
                         randomized_partition, records_to_tsv,
                         replaced_weight)
 from .pipeline import (PipelineConfig, PipelineError, StageStat,
@@ -34,13 +34,13 @@ from .slg import lz_to_slg, prune_slp, slg_to_slp
 __version__ = "0.1.0"
 
 __all__ = [
-    "Factorization", "FormatError", "Grammar", "GrammarError",
-    "GrammarSize", "LevelGrammar", "PairMaps", "ParseError", "Partition",
-    "PartitionError", "PartitionSource", "Phrase", "PipelineConfig",
-    "PipelineError", "RecompressResult", "RoundRecord", "RunRule",
-    "RunVector", "STRATEGIES", "SeqRule", "StageStat", "StatsReport",
+    "ConvergenceError", "Factorization", "FormatError", "Grammar",
+    "GrammarError", "GrammarSize", "LevelGrammar", "PairMaps", "ParseError",
+    "Partition", "PartitionError", "PartitionSource", "Phrase",
+    "PipelineConfig", "PipelineError", "RecompressResult", "RoundRecord",
+    "RunRule", "STRATEGIES", "SeqRule", "StageStat", "StatsReport",
     "ValidationReport", "bcomp", "collect_pair_frequencies",
-    "compute_nocc", "compute_runs", "decode_factorization",
+    "compute_nocc", "decode_factorization",
     "decode_factorization_bytes", "decode_grammar",
     "deterministic_partition", "encode_factorization", "encode_grammar",
     "expand", "expansion_lengths", "factorization_stats", "gen_dataset",

@@ -20,8 +20,10 @@ from .lz import (ParseError, decode_factorization_bytes,
                  encode_factorization, factorization_stats,
                  parse_bentley_mcilroy, parse_exact_lz77)
 from .naive import recompress_string
-from .partition import STRATEGIES, PartitionError, records_to_tsv
-from .pipeline import PipelineConfig, PipelineError, run_pipeline, verify_files
+from .partition import (STRATEGIES, ConvergenceError, PartitionError,
+                        records_to_tsv)
+from .pipeline import (PipelineConfig, PipelineError, run_pipeline,
+                       verify_files, write_atomic)
 from .slg import lz_to_slg, prune_slp, slg_to_slp
 
 _SIZE_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
@@ -60,7 +62,7 @@ def _add_strategy_args(p: argparse.ArgumentParser) -> None:
 
 def _write_stats(path: str | None, text: str) -> None:
     if path:
-        Path(path).write_text(text)
+        write_atomic(path, text.encode())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_gen_dataset(args) -> int:
     base = Path(args.base).read_bytes() if args.base else load_sample()
     text = gen_dataset(base, args.target_size, args.mutation_rate, args.seed)
-    Path(args.output).write_bytes(text)
+    write_atomic(args.output, text)
     print(f"{args.output}: {len(text)} bytes")
     return 0
 
@@ -165,7 +167,7 @@ def _cmd_parse(args, exact: bool) -> int:
         fz = parse_exact_lz77(text)
     else:
         fz = parse_bentley_mcilroy(text, args.block_size)
-    Path(args.output).write_bytes(encode_factorization(fz))
+    write_atomic(args.output, encode_factorization(fz))
     stats = factorization_stats(fz)
     print(f"{args.output}: {stats['phrases']} phrases, "
           f"{stats['text_length']} bytes, ratio {stats['ratio']}")
@@ -178,7 +180,7 @@ def _cmd_parse(args, exact: bool) -> int:
 def _cmd_lz_to_slg(args) -> int:
     fz = decode_factorization_bytes(Path(args.input).read_bytes())
     g = lz_to_slg(fz)
-    Path(args.output).write_bytes(encode_grammar(g))
+    write_atomic(args.output, encode_grammar(g))
     print(f"{args.output}: {len(g.rules)} rules")
     return 0
 
@@ -186,7 +188,7 @@ def _cmd_lz_to_slg(args) -> int:
 def _transform(args, fn) -> int:
     g = decode_grammar(Path(args.input).read_bytes())
     out = fn(g)
-    Path(args.output).write_bytes(encode_grammar(out))
+    write_atomic(args.output, encode_grammar(out))
     print(f"{args.output}: {len(out.rules)} rules")
     return 0
 
@@ -194,7 +196,7 @@ def _transform(args, fn) -> int:
 def _cmd_recompress(args) -> int:
     g = decode_grammar(Path(args.input).read_bytes())
     result = recompress(g, args.strategy, args.seed)
-    Path(args.output).write_bytes(encode_grammar(result.grammar))
+    write_atomic(args.output, encode_grammar(result.grammar))
     size = grammar_size(result.grammar)
     print(f"{args.output}: {size.productions} productions, "
           f"size {size.size}")
@@ -205,7 +207,7 @@ def _cmd_recompress(args) -> int:
 def _cmd_recompress_naive(args) -> int:
     text = Path(args.input).read_bytes()
     result = recompress_string(text, strategy=args.strategy, seed=args.seed)
-    Path(args.output).write_bytes(encode_grammar(result.grammar))
+    write_atomic(args.output, encode_grammar(result.grammar))
     size = grammar_size(result.grammar)
     print(f"{args.output}: {size.productions} productions, "
           f"size {size.size}")
@@ -213,7 +215,7 @@ def _cmd_recompress_naive(args) -> int:
     if args.trace_out:
         lines = ["round\tlength"]
         lines += [f"{r.round}\t{r.length_after}" for r in result.records]
-        Path(args.trace_out).write_text("\n".join(lines) + "\n")
+        write_atomic(args.trace_out, ("\n".join(lines) + "\n").encode())
     return 0
 
 
@@ -245,7 +247,7 @@ def _cmd_bench(args) -> int:
                      workdir=args.workdir)
     table = bench_to_tsv(rows)
     if args.stats_out:
-        Path(args.stats_out).write_text(table)
+        write_atomic(args.stats_out, table.encode())
         print(f"{args.stats_out}: {len(rows)} rows")
     else:
         sys.stdout.write(table)
@@ -273,7 +275,7 @@ def main(argv=None) -> int:
         print(f"error: [{exc.stage}] {exc}", file=sys.stderr)
         return 1
     except (GrammarError, FormatError, ParseError, PartitionError,
-            ValueError, OSError) as exc:
+            ConvergenceError, ValueError, OSError) as exc:
         print(f"error: [{args.cmd}] {exc}", file=sys.stderr)
         return 1
 

@@ -6,22 +6,36 @@ round costs time proportional to the current grammar size.  The level
 string is never materialized: run replacement works on per-rule maximal
 prefix/suffix runs, pair replacement on exposed boundary symbols.
 
-Within the working grammar, entries of a right-hand side are either
-references to working rules (positive) or encoded level symbols
-(negative).  A level symbol is an output-grammar symbol: a terminal
--(c+1) or a previously created rule id, encoded here as -(256 + id).
+The working grammar is stored flat: rule j's right-hand side is
+ent[ptr[j-1]:ptr[j]], and an entry is either a reference to a working
+rule (positive) or an encoded level symbol (negative).  A level symbol
+is an output-grammar symbol: a terminal -(c+1) or a previously created
+rule id, encoded here as -(256 + id).
+
+Rules are sorted by height layer, and a rule only references rules of
+lower layers, so rules of one layer never depend on each other: every
+bottom-up or top-down pass is one numpy sweep per layer, as in the
+level-wise processing of Jeż ("Faster fully compressed pattern matching
+by recompression", TALG 2015).  A rule rewritten from a rule of layer L
+only references rules rewritten from lower layers, so each rewrite
+carries the layers forward instead of recomputing them.  The start rule
+is alone in the top layer and is rewritten whole; every other rule
+hands its boundary runs or symbols up to its parents.  Once the level
+string is no longer than the grammar, it replaces the grammar as a
+single rule, and the remaining rounds sweep that one layer.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import time
+from itertools import chain
 
 import numpy as np
 
-from .grammar import Grammar, GrammarError, RunRule, SeqRule
-from .partition import (PairMaps, Partition, PartitionSource, RecompressResult,
-                        RlslpBuilder, RoundRecord, replaced_weight,
-                        round_limit)
+from .grammar import Grammar, GrammarError, SeqRule
+from .partition import (ConvergenceError, PairMaps, Partition,
+                        PartitionSource, RecompressResult, RlslpBuilder,
+                        RoundRecord, replaced_weight, round_limit, sides_of)
 
 
 def enc(level_sym: int) -> int:
@@ -34,284 +48,447 @@ def dec(entry: int) -> int:
     return entry if entry >= -256 else -entry - 256
 
 
+def _enc(syms: np.ndarray) -> np.ndarray:
+    return np.where(syms < 0, syms, -256 - syms)
+
+
+def _dec(entries: np.ndarray) -> np.ndarray:
+    return np.where(entries >= -256, entries, -256 - entries)
+
+
+def _starts(flags: np.ndarray) -> np.ndarray:
+    """Positions where a new segment begins: the first one, and every
+    position whose flag differs from its predecessor's."""
+    change = np.empty(len(flags), dtype=bool)
+    change[:1] = True
+    np.not_equal(flags[1:], flags[:-1], out=change[1:])
+    return change.nonzero()[0]
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of the ranges starts[i] .. starts[i] + counts[i] - 1."""
+    ends = counts.cumsum()
+    total = int(ends[-1]) if len(ends) else 0
+    return (starts - ends + counts).repeat(counts) + np.arange(total)
+
+
+def _entries_of(ptr: np.ndarray, rules: np.ndarray) -> np.ndarray:
+    """Positions of the entries of the given 1-based rules, in order."""
+    return _ranges(ptr[rules - 1], ptr[rules] - ptr[rules - 1])
+
+
+def _fresh_ids(add, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Builder ids for the (a[i], b[i]) keys of fresh rules.
+
+    The distinct keys go to the builder in sorted order, the order the
+    string engine uses too, so both hand out the same ids.
+    """
+    if len(a) == 0:
+        return np.empty(0, dtype=np.int64)
+    order = np.lexsort((b, a))
+    sa, sb = a[order], b[order]
+    new = np.empty(len(order), dtype=bool)
+    new[0] = True
+    new[1:] = (sa[1:] != sa[:-1]) | (sb[1:] != sb[:-1])
+    keys = list(zip(sa[new].tolist(), sb[new].tolist()))
+    ids = add(keys)
+    key_ids = np.fromiter(map(ids.__getitem__, keys), dtype=np.int64,
+                          count=len(keys))
+    out = np.empty(len(a), dtype=np.int64)
+    out[order] = key_ids[np.cumsum(new) - 1]
+    return out
+
+
+def _power(extra: list[tuple[int, int]], offset: int, base: int,
+           exponent: int) -> tuple[int, int]:
+    """Right-hand side of base^exponent, exponent >= 2, by the binary
+    doubling of slg's _Builder.power.  The helper rules it needs are
+    appended to extra, numbered from offset + 1."""
+    result = None
+    while exponent:
+        if exponent & 1:
+            if result is None:
+                result = base
+            else:
+                extra.append((result, base))
+                result = offset + len(extra)
+        exponent >>= 1
+        if exponent:
+            extra.append((base, base))
+            base = offset + len(extra)
+    # the result is the rule made last; the caller's rule takes its place
+    return extra.pop()
+
+
+def _heights(ptr: np.ndarray, ent: np.ndarray) -> np.ndarray:
+    """Height of every rule (slot 0 unused): 0 for a rule without rule
+    references, else one more than its highest child.  Rules are settled
+    a layer at a time, once all their children are."""
+    m = len(ptr) - 1
+    row = np.repeat(np.arange(1, m + 1), np.diff(ptr))
+    kid = ent > 0
+    child, parent = ent[kid], row[kid]
+    waiting = np.bincount(parent, minlength=m + 1)
+    parents = parent[np.argsort(child, kind="stable")]
+    first = np.concatenate(([0], np.cumsum(np.bincount(child,
+                                                       minlength=m + 1))))
+    height = np.zeros(m + 1, dtype=np.int64)
+    settled = (waiting[1:] == 0).nonzero()[0] + 1
+    level = 0
+    while len(settled):
+        height[settled] = level
+        up = parents[_ranges(first[settled],
+                             first[settled + 1] - first[settled])]
+        waiting -= np.bincount(up, minlength=m + 1)
+        ready = np.zeros(m + 1, dtype=bool)
+        ready[up] = True
+        settled = (ready & (waiting == 0)).nonzero()[0]
+        level += 1
+    return height
+
+
+def _reachable(ptr: np.ndarray, ent: np.ndarray, root: int) -> np.ndarray:
+    """Mask of the rules reachable from root (slot 0 unused)."""
+    alive = np.zeros(len(ptr), dtype=bool)
+    alive[root] = True
+    frontier = np.array([root])
+    while len(frontier):
+        e = ent[_entries_of(ptr, frontier)]
+        e = e[e > 0]
+        fresh = np.zeros(len(ptr), dtype=bool)
+        fresh[e[~alive[e]]] = True
+        alive |= fresh
+        frontier = fresh.nonzero()[0]
+    return alive
+
+
 class LevelGrammar:
-    """Working straight-line grammar over the current level alphabet."""
+    """Working straight-line grammar over the current level alphabet.
 
-    __slots__ = ("rules",)
+    Rule j (1-based) has right-hand side ent[ptr[j-1]:ptr[j]].  Rules are
+    sorted by height layer: layer i holds rules layers[i]+1..layers[i+1],
+    and the start rule is the last rule, alone in the top layer.
+    """
 
-    def __init__(self, rules: list[list[int]]) -> None:
-        self.rules = rules
+    __slots__ = ("ptr", "ent", "layers", "_row")
+
+    def __init__(self, ptr: np.ndarray, ent: np.ndarray,
+                 layers: list[int]) -> None:
+        self.ptr = ptr
+        self.ent = ent
+        self.layers = layers
+        self._row = None
+
+    def __len__(self) -> int:
+        return len(self.ptr) - 1
+
+    def rhs(self, j: int) -> list[int]:
+        """Right-hand side of rule j."""
+        return self.ent[self.ptr[j - 1]:self.ptr[j]].tolist()
+
+    @property
+    def row(self) -> np.ndarray:
+        """Rule of every entry."""
+        if self._row is None:
+            self._row = np.repeat(np.arange(1, len(self) + 1),
+                                  np.diff(self.ptr))
+        return self._row
+
+    def sweep(self):
+        """Per layer, bottom up: (lo, hi, a, b) for rules lo+1..hi, whose
+        entries are ent[a:b]."""
+        ptr = self.ptr
+        bounds = self.layers
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            yield lo, hi, int(ptr[lo]), int(ptr[hi])
 
     @classmethod
     def from_slp(cls, g: Grammar) -> "LevelGrammar":
-        """Import a sequence-only grammar, keeping only reachable rules.
+        """Import a grammar, keeping only rules reachable from the start.
 
-        Unreachable rules would otherwise shed dead productions into the
-        output and shift fresh symbol ids away from what the reference
-        engine assigns for the same text.
+        A run rule Y^k becomes O(log k) binary rules by doubling; the
+        level string is the text either way.  Unreachable rules would
+        otherwise shed dead productions into the output and shift fresh
+        symbol ids away from what the reference engine assigns for the
+        same text.
         """
-        for i, rule in enumerate(g.rules, start=1):
-            if not isinstance(rule, SeqRule):
-                raise GrammarError(f"rule {i}: run rules are not valid input")
-        m = len(g.rules)
-        alive = [False] * (m + 1)
-        alive[m] = True
-        for j in range(m, 0, -1):
-            if not alive[j]:
-                continue
-            for e in g.rules[j - 1].rhs:
-                if e > 0:
-                    alive[e] = True
-        remap = [0] * (m + 1)
-        rules: list[list[int]] = []
-        for j in range(1, m + 1):
-            if not alive[j]:
-                continue
-            rules.append([e if e < 0 else remap[e]
-                          for e in g.rules[j - 1].rhs])
-            remap[j] = len(rules)
-        return cls(rules)
+        rhss = [rule.rhs if isinstance(rule, SeqRule) else None
+                for rule in g.rules]
+        extra: list[tuple[int, int]] = []
+        for i, rhs in enumerate(rhss):
+            if rhs is None:
+                rule = g.rules[i]
+                if rule.exponent < 2:
+                    raise GrammarError(f"rule {i + 1}: run exponent < 2")
+                rhss[i] = _power(extra, len(rhss), rule.base, rule.exponent)
+        rhss += extra
+        lens = np.fromiter(map(len, rhss), dtype=np.int64, count=len(rhss))
+        ent = np.fromiter(chain.from_iterable(rhss), dtype=np.int64,
+                          count=int(lens.sum()))
+        ptr = np.concatenate(([0], np.cumsum(lens)))
+        height = _heights(ptr, ent)
+        kept = _reachable(ptr, ent, len(g.rules)).nonzero()[0]
+        # a stable sort by height keeps the order topological
+        kept = kept[np.argsort(height[kept], kind="stable")]
+        remap = np.zeros(len(ptr), dtype=np.int64)
+        remap[kept] = np.arange(1, len(kept) + 1)
+        ent = ent[_entries_of(ptr, kept)]
+        ent = np.where(ent > 0, remap[np.maximum(ent, 0)], ent)
+        layers = [0] + _starts(height[kept])[1:].tolist() + [len(kept)]
+        return cls(np.concatenate(([0], np.cumsum(lens[kept - 1]))), ent,
+                   layers)
 
-    def level_lengths(self) -> tuple[list[int], int]:
+    def level_lengths(self) -> tuple[np.ndarray, int]:
         """Per-rule expansion length in level symbols, plus total rhs size."""
-        lengths = [0] * (len(self.rules) + 1)
-        size = 0
-        for j, rhs in enumerate(self.rules, start=1):
-            size += len(rhs)
-            total = 0
-            for e in rhs:
-                total += 1 if e < 0 else lengths[e]
-            lengths[j] = total
-        return lengths, size
+        ent, ptr = self.ent, self.ptr
+        # lengths by entry + off: the encoded level symbols -off..-1 come
+        # first, with length 1, then rule j at off + j
+        off = -int(ent.min())
+        lengths = np.zeros(off + len(self) + 1, dtype=np.int64)
+        lengths[:off] = 1
+        at = ent + off
+        for lo, hi, a, b in self.sweep():
+            lengths[off + lo + 1:off + hi + 1] = np.add.reduceat(
+                lengths[at[a:b]], ptr[lo:hi] - a)
+        return lengths[off:], len(ent)
+
+    def flattened(self) -> "LevelGrammar":
+        """The level string as a grammar of one rule."""
+        s = _enc(self.level_string())
+        return LevelGrammar(np.array([0, len(s)]), s, [0, 1])
 
     def level_string(self) -> np.ndarray:
-        """Materialized level string (tests and traces only)."""
-        if not self.rules:
-            return np.empty(0, dtype=np.int64)
-        out: list[int] = []
-        stack: list[list] = [[self.rules[-1], 0]]
-        while stack:
-            frame = stack[-1]
-            rhs, pos = frame
-            if pos == len(rhs):
-                stack.pop()
-                continue
-            frame[1] = pos + 1
-            e = rhs[pos]
-            if e < 0:
-                out.append(dec(e))
-            else:
-                stack.append([self.rules[e - 1], 0])
-        return np.array(out, dtype=np.int64)
+        """Materialized level string."""
+        ptr, ent = self.ptr, self.ent
+        s = ent[ptr[-2]:ptr[-1]]
+        while True:
+            kid = s > 0
+            if not kid.any():
+                return _dec(s)
+            # a reference expands to its rule's entries, anything else
+            # stays: both are read from ent followed by s
+            j = np.where(kid, s - 1, 0)
+            starts = np.where(kid, ptr[j], len(ent) + np.arange(len(s)))
+            counts = np.where(kid, ptr[j + 1] - ptr[j], 1)
+            s = np.concatenate((ent, s))[_ranges(starts, counts)]
 
 
-class RunVector:
-    """Per-rule (symbol, length) runs with byte-packed lengths.
+def _rewrite(lg: LevelGrammar, own: tuple, step, add) -> LevelGrammar:
+    """Bottom-up rewrite shared by run and pair replacement.
 
-    Lengths below 255 live in a byte array; the sentinel 255 redirects
-    to a rule-index-sorted overflow table, searched by bisection.
+    An atom is a (val, key, flag) triple.  Every entry of a rule yields
+    atoms: its own atom for a level symbol (`own`, each field an array
+    over the entries or one value for all), or the atoms a child handed
+    up.  `step(val, key, flag, row, start)` rewrites the atoms of a
+    layer's rules locally (row: the rule of each atom) and returns them
+    with every rule's first and last atom and whether those move up to
+    the parents (never for the start rule); the remaining inner atoms
+    must then be entries of the next grammar: a final entry with key 0,
+    or a pending rule key (val, key) whose id `add` assigns once the
+    round's keys are all known.  Inner atoms two or more wide become a
+    new rule, and the parents get a reference to it in their place;
+    narrower ones move up as they are.
     """
+    m = len(lg)
+    ent, row = lg.ent, lg.row
+    size = len(ent)
+    # an entry reads its atoms from a slot: a child's slot holds the
+    # atoms the child handed up (at most three), slot m + 1 + i the own
+    # atom of entry i; slot j's atoms are store[beg[j]:beg[j] + count[j]]
+    slot = np.where(ent > 0, ent, np.arange(m + 1, m + 1 + size))
+    beg = np.zeros(m + 1 + size, dtype=np.int64)
+    beg[m + 1:] = np.arange(size)
+    count = np.ones(m + 1 + size, dtype=np.int8)
+    store = [np.empty(size + 3 * m, dtype=np.asarray(x).dtype) for x in own]
+    for arr, x in zip(store, own):
+        arr[:size] = x
+    val, key, flag = store
+    free = size
+    vals, keys, widths, counts = [], [], [], []
+    made = 0
+    for lo, hi, a, b in lg.sweep():
+        c = count[slot[a:b]]
+        at = _ranges(beg[slot[a:b]], c)
+        start = hi == m
+        v, y, f, first, last, pop_l, pop_r = step(
+            val[at], key[at], flag[at], row[a:b].repeat(c), start)
+        n = last - first + 1
+        width = n - pop_l - pop_r
+        make = width >= 2
+        if start:
+            make[:] = True
+        new = make.nonzero()[0]
+        inner = _inner(make, n, first, last, pop_l, pop_r)
+        vals.append(v[inner])
+        keys.append(y[inner])
+        widths.append(width[new])
+        counts.append(len(new))
+        if start:
+            break
+        # a new rule hands up a reference in place of its inner atoms
+        mid = first[new] + pop_l[new]
+        v[mid] = made + 1 + np.arange(len(new))
+        y[mid] = 0
+        f[mid] = 0
+        made += len(new)
+        inner[mid] = False
+        up = (~inner).nonzero()[0]
+        for arr, x in zip(store, (v, y, f)):
+            arr[free:free + len(up)] = x[up]
+        handed = n - (width - 1) * make
+        beg[lo + 1:hi + 1] = free + handed.cumsum() - handed
+        count[lo + 1:hi + 1] = handed
+        free += len(up)
+    return _next_grammar(vals, keys, widths, counts, add)
 
-    OVERFLOW = 255
 
-    def __init__(self) -> None:
-        self.syms: list[int] = []
-        self.counts = bytearray()
-        self.overflow: list[tuple[int, int]] = []
+def _next_grammar(vals, keys, widths, counts, add) -> LevelGrammar:
+    """Assemble the rewritten grammar from per-layer pieces.
 
-    def append(self, sym: int, count: int) -> None:
-        index = len(self.syms)
-        self.syms.append(sym)
-        if count < self.OVERFLOW:
-            self.counts.append(count)
-        else:
-            self.counts.append(self.OVERFLOW)
-            self.overflow.append((index, count))
-
-    def get(self, rule_index: int) -> tuple[int, int]:
-        """Run of the 1-based rule; exact length even past the sentinel."""
-        index = rule_index - 1
-        count = self.counts[index]
-        if count != self.OVERFLOW:
-            return self.syms[index], count
-        pos = bisect_left(self.overflow, (index, 0))
-        return self.syms[index], self.overflow[pos][1]
-
-    def __len__(self) -> int:
-        return len(self.syms)
-
-
-def _scan_blocks(lg: LevelGrammar, builder: RlslpBuilder | None):
-    """Single bottom-up pass deriving per-rule run structure.
-
-    With a builder, also produces the rewritten grammar of the next
-    level (run replacement); without one, only the run data needed by
-    compute_runs.  Item lists hold maximal blocks as (symbol, length)
-    2-tuples, interleaved with opaque already-rewritten entries.
+    An entry with a nonzero key is a pending (vals, keys) rule key,
+    replaced here by the encoded id the builder assigns to it.
     """
-    rules = lg.rules
-    m = len(rules)
-    lr: list = [None] * (m + 1)
-    rr: list = [None] * (m + 1)
-    single = [False] * (m + 1)
-    cap_entry: list = [None] * (m + 1)
-    new_rules: list[list] = [] if builder is not None else None
-    run_keys: set[tuple[int, int]] = set()
-    build = builder is not None
-
-    for j, rhs in enumerate(rules, start=1):
-        items: list = []
-        for e in rhs:
-            if e < 0:
-                s = dec(e)
-                if items and type(items[-1]) is tuple and len(items[-1]) == 2 \
-                        and items[-1][0] == s:
-                    items[-1] = (s, items[-1][1] + 1)
-                else:
-                    items.append((s, 1))
-                continue
-            child_lr = lr[e]
-            if items and type(items[-1]) is tuple and len(items[-1]) == 2 \
-                    and items[-1][0] == child_lr[0]:
-                items[-1] = (child_lr[0], items[-1][1] + child_lr[1])
-            else:
-                items.append(child_lr)
-            if single[e]:
-                continue
-            ce = cap_entry[e]
-            if ce is not None:
-                items.append(ce)
-            # the suffix run never merges leftward: a cap starts and ends
-            # with symbols different from the boundary runs
-            items.append(rr[e])
-        lr[j] = items[0]
-        rr[j] = items[-1]
-        if len(items) == 1:
-            single[j] = True
-            continue
-        if not build:
-            continue
-        cap = items[1:-1]
-        if not cap:
-            continue
-        entries = []
-        for item in cap:
-            if type(item) is tuple and len(item) == 2:
-                sym, count = item
-                if count >= 2:
-                    run_keys.add(item)
-                    entries.append(("R", sym, count))
-                else:
-                    entries.append(enc(sym))
-            else:
-                entries.append(item)
-        if len(entries) == 1:
-            cap_entry[j] = entries[0]
-        else:
-            new_rules.append(entries)
-            cap_entry[j] = len(new_rules)
-    return lr, rr, single, cap_entry, new_rules, run_keys
+    val = np.concatenate(vals)
+    key = np.concatenate(keys)
+    pending = key.nonzero()[0]
+    val[pending] = _enc(_fresh_ids(add, val[pending], key[pending]))
+    lens = np.concatenate(widths)
+    sizes = np.array(counts)
+    layers = np.concatenate(([0], np.cumsum(sizes[sizes > 0]))).tolist()
+    return LevelGrammar(np.concatenate(([0], np.cumsum(lens))), val, layers)
 
 
-def compute_runs(lg: LevelGrammar) -> tuple[RunVector, RunVector]:
-    """Maximal prefix and suffix runs of every rule's level expansion."""
-    lr, rr, _single, _caps, _new, _keys = _scan_blocks(lg, None)
-    lr_vec = RunVector()
-    rr_vec = RunVector()
-    for j in range(1, len(lg.rules) + 1):
-        lr_vec.append(*lr[j])
-        rr_vec.append(*rr[j])
-    return lr_vec, rr_vec
+def _bounds(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last atom of every rule, for atoms grouped by rule."""
+    first = _starts(r)
+    return first, np.concatenate((first[1:], [len(r)])) - 1
+
+
+def _inner(keep, n, first: np.ndarray, last: np.ndarray,
+           pop_l: np.ndarray, pop_r: np.ndarray) -> np.ndarray:
+    """Mask of the atoms that stay in their rule: all atoms of rules with
+    keep set (per rule, or one value for all; n atoms each) except the
+    popped first and last ones, which move up."""
+    inner = np.asarray(keep).repeat(n)
+    inner[first[pop_l]] = False
+    inner[last[pop_r]] = False
+    return inner
+
+
+def _merge_runs(sym, run, block, r, start):
+    """bcomp step: atoms are runs (block true: symbol, length) or child
+    caps (entries); adjacent runs of one symbol inside a rule merge, and
+    a rule's first and last runs move up."""
+    join = (block[1:] & block[:-1] & (sym[1:] == sym[:-1])
+            & (r[1:] == r[:-1]))
+    gs = np.concatenate(([True], ~join)).nonzero()[0]
+    sym, block = sym[gs], block[gs]
+    run = np.add.reduceat(run, gs)
+    first, last = _bounds(r[gs])
+    pop_l = np.empty(len(first), dtype=bool)
+    pop_l[:] = not start
+    pop_r = pop_l & (last > first)
+    # inner runs become entries: one symbol plain, longer ones pending
+    inner = _inner(True, len(sym), first, last, pop_l, pop_r)
+    plain = inner & block & (run == 1)
+    sym[plain] = _enc(sym[plain])
+    run[plain] = 0
+    block[inner] = False
+    return sym, run, block, first, last, pop_l, pop_r
 
 
 def bcomp(lg: LevelGrammar, builder: RlslpBuilder) -> LevelGrammar:
     """One run-replacement round on the working grammar.
 
-    Every maximal run of length >= 2 in the level string appears either
-    inside some rule's cap or at the start symbol's boundary, so run
-    rules are created from those places only, never by expansion.
+    Per rule, bottom up: the level expansion is a maximal prefix run, a
+    cap and a maximal suffix run.  A rule's atoms are its own symbols
+    and, per child, the child's prefix run, cap and suffix run (a child
+    that is one run gives just that run); adjacent runs of one symbol
+    merge.  The rule's first and last merged runs are its boundary runs,
+    which its parents absorb; the atoms between them form its cap, a new
+    rule when two or more entries wide.  Every maximal run of the level
+    string therefore lies in some cap or in the start rule, which keeps
+    all its atoms, so run rules are created from those places only.
     """
-    m = len(lg.rules)
-    lr, rr, single, cap_entry, new_rules, run_keys = _scan_blocks(lg, builder)
-
-    def block(item: tuple[int, int]):
-        sym, count = item
-        if count >= 2:
-            run_keys.add(item)
-            return ("R", sym, count)
-        return enc(sym)
-
-    # the start symbol has no parent to absorb its boundary runs
-    wrapper = [block(lr[m])]
-    if not single[m]:
-        if cap_entry[m] is not None:
-            wrapper.append(cap_entry[m])
-        wrapper.append(block(rr[m]))
-    new_rules.append(wrapper)
-
-    ids = builder.add_runs(run_keys)
-    for rhs in new_rules:
-        for k, e in enumerate(rhs):
-            if type(e) is tuple:
-                rhs[k] = enc(ids[(e[1], e[2])])
-    return LevelGrammar(new_rules)
+    return _rewrite(lg, (_dec(lg.ent), 1, True), _merge_runs,
+                    builder.add_runs)
 
 
-def compute_nocc(lg: LevelGrammar) -> list[int]:
+def compute_nocc(lg: LevelGrammar) -> np.ndarray:
     """How often each rule occurs in the derivation of the start symbol.
 
-    Occurrence counts flow from the start rule backwards through the
-    reversed reference edges, weighted by how often a rule mentions its
-    child; rules are already in reverse topological order from the end.
+    Occurrence counts flow from the start rule down, layer by layer,
+    weighted by how often a rule mentions its child; a layer's counts
+    are final once every higher layer has been passed.
     """
-    m = len(lg.rules)
-    occ = [0] * (m + 1)
+    m = len(lg)
+    occ = np.zeros(m + 1, dtype=np.int64)
     occ[m] = 1
-    for j in range(m, 0, -1):
-        w = occ[j]
-        if w == 0:
-            continue
-        for e in lg.rules[j - 1]:
-            if e > 0:
-                occ[e] += w
+    ent, row = lg.ent, lg.row
+    for lo, hi, a, b in reversed(list(lg.sweep())):
+        e = ent[a:b]
+        kid = e > 0
+        np.add.at(occ, e[kid], occ[row[a:b][kid]])
     return occ
 
 
-def collect_pair_frequencies(lg: LevelGrammar, occ: list[int]
-                             ) -> tuple[PairMaps, set[int]]:
-    """Weighted boundary pairs of all reachable rules, and the alphabet.
+def collect_pair_frequencies(lg: LevelGrammar, occ: np.ndarray
+                             ) -> tuple[PairMaps, list[int]]:
+    """Weighted boundary pairs of all reachable rules, and the alphabet
+    in symbol_rank order.
 
     Every adjacent position of the level string crosses exactly one rule
     boundary (at the lowest rule spanning it), so summing boundary pairs
     weighted by rule occurrences counts each adjacency exactly once.
     """
-    m = len(lg.rules)
-    lms = [0] * (m + 1)
-    rms = [0] * (m + 1)
-    alphabet: set[int] = set()
+    m = len(lg)
+    ent, ptr, row = lg.ent, lg.ptr, lg.row
+    # first and last level symbol of every entry's expansion, indexed by
+    # entry + off: a level symbol is its own, a rule's comes from its
+    # first (last) entry
+    off = -int(ent.min())
+    lms = np.concatenate((_dec(np.arange(-off, 0)),
+                          np.zeros(m + 1, dtype=np.int64)))
+    rms = lms.copy()
+    firsts = ent[ptr[:-1]] + off
+    lasts = ent[ptr[1:] - 1] + off
+    for lo, hi, _a, _b in lg.sweep():
+        lms[off + lo + 1:off + hi + 1] = lms[firsts[lo:hi]]
+        rms[off + lo + 1:off + hi + 1] = rms[lasts[lo:hi]]
+    at = ent + off
+    weight = occ[row]
+    # adjacent entries of one reachable rule
+    inner = (weight[:-1] > 0) & (row[1:] == row[:-1])
     maps = PairMaps()
-    for j, rhs in enumerate(lg.rules, start=1):
-        first = rhs[0]
-        lms[j] = dec(first) if first < 0 else lms[first]
-        last = rhs[-1]
-        rms[j] = dec(last) if last < 0 else rms[last]
-    for j, rhs in enumerate(lg.rules, start=1):
-        w = occ[j]
-        if w == 0:
-            continue
-        prev = None
-        for e in rhs:
-            if e < 0:
-                sym = dec(e)
-                alphabet.add(sym)
-                left_edge = right_edge = sym
-            else:
-                left_edge = lms[e]
-                right_edge = rms[e]
-            if prev is not None:
-                maps.add(prev, left_edge, w)
-            prev = right_edge
+    maps.add_arrays(rms[at[:-1][inner]], lms[at[1:][inner]],
+                    weight[:-1][inner])
+    # an encoded level symbol's symbol_rank is -entry
+    ranks = np.bincount(-ent[(ent < 0) & (weight > 0)]).nonzero()[0]
+    alphabet = np.where(ranks <= 256, -ranks, ranks - 256).tolist()
     return maps, alphabet
+
+
+def _pair_up(val, key, side, r, start):
+    """pcomp step: atoms are level symbols (entry-coded, with their side
+    in the partition), pending pairs and references.  A left symbol
+    followed by a right one inside a rule becomes a pending pair; a
+    rule's first symbol moves up if right, its last if left."""
+    starts = ((side[:-1] == 1) & (side[1:] == -1)
+              & (r[:-1] == r[1:])).nonzero()[0]
+    if len(starts):
+        key[starts] = _dec(val[starts + 1])
+        val[starts] = _dec(val[starts])
+        side[starts] = 0
+        alive = np.ones(len(r), dtype=bool)
+        alive[starts + 1] = False
+        val, key, side, r = val[alive], key[alive], side[alive], r[alive]
+    first, last = _bounds(r)
+    if start:
+        pop_l = pop_r = np.zeros(1, dtype=bool)
+    else:
+        pop_l = side[first] == -1
+        pop_r = (side[last] == 1) & (last - first + 1 > pop_l)
+    return val, key, side, first, last, pop_l, pop_r
 
 
 def pcomp(lg: LevelGrammar, part: Partition, builder: RlslpBuilder
@@ -322,100 +499,36 @@ def pcomp(lg: LevelGrammar, part: Partition, builder: RlslpBuilder
     and per child the stripped boundary symbols around an opaque middle.
     A left-side first symbol or right-side last symbol can only combine
     across the rule boundary, so it moves up to the parent; everything
-    else is settled locally.  Atoms here are ints (level symbols),
-    ("r", id) references, or ("P", a, b) placeholders for fresh pairs.
+    else is settled locally.  Candidate pairs never overlap (a symbol is
+    on one side only), so all of them are replaced at once.
     """
-    m = len(lg.rules)
-    triples: list = [None] * (m + 1)
-    new_rules: list[list] = []
-    pair_keys: set[tuple[int, int]] = set()
-    is_left = part.is_left
-    is_right = part.is_right
-
-    def to_entry(atom):
-        if type(atom) is int:
-            return enc(atom)
-        if len(atom) == 3:
-            return atom
-        return atom[1]
-
-    for j, rhs in enumerate(lg.rules, start=1):
-        atoms: list = []
-        for e in rhs:
-            if e < 0:
-                atoms.append(dec(e))
-            else:
-                lb, mid, rb = triples[e]
-                if lb is not None:
-                    atoms.append(lb)
-                if mid is not None:
-                    atoms.append(mid)
-                if rb is not None:
-                    atoms.append(rb)
-        out: list = []
-        i = 0
-        count = len(atoms)
-        while i < count:
-            a = atoms[i]
-            if i + 1 < count and type(a) is int and is_left(a):
-                b = atoms[i + 1]
-                if type(b) is int and is_right(b):
-                    pair_keys.add((a, b))
-                    out.append(("P", a, b))
-                    i += 2
-                    continue
-            out.append(a)
-            i += 1
-        lb = rb = None
-        start, end = 0, len(out)
-        if type(out[0]) is int and is_right(out[0]):
-            lb = out[0]
-            start = 1
-        if end > start and type(out[end - 1]) is int and is_left(out[end - 1]):
-            rb = out[end - 1]
-            end -= 1
-        width = end - start
-        if width == 0:
-            mid = None
-        elif width == 1:
-            mid = out[start]
-        else:
-            new_rules.append([to_entry(x) for x in out[start:end]])
-            mid = ("r", len(new_rules))
-        triples[j] = (lb, mid, rb)
-
-    lb, mid, rb = triples[m]
-    wrapper: list = []
-    if lb is not None:
-        wrapper.append(enc(lb))
-    if mid is not None:
-        wrapper.append(to_entry(mid))
-    if rb is not None:
-        wrapper.append(enc(rb))
-    if not (len(wrapper) == 1 and type(wrapper[0]) is int
-            and wrapper[0] == len(new_rules) and new_rules):
-        new_rules.append(wrapper)
-
-    ids = builder.add_pairs(pair_keys)
-    for rhs_new in new_rules:
-        for k, e in enumerate(rhs_new):
-            if type(e) is tuple:
-                rhs_new[k] = enc(ids[(e[1], e[2])])
-    return LevelGrammar(new_rules)
+    ent = lg.ent
+    side = np.where(ent < 0, sides_of(part.side_table(), _dec(ent)), 0)
+    return _rewrite(lg, (ent, 0, side.astype(np.int8)), _pair_up,
+                    builder.add_pairs)
 
 
 def _start_symbol(lg: LevelGrammar) -> int:
     """Level symbol a start rule of level length 1 expands to."""
-    e = lg.rules[-1][0]
+    e = int(lg.ent[lg.ptr[-2]])
     while e > 0:
-        e = lg.rules[e - 1][0]
+        e = int(lg.ent[lg.ptr[e - 1]])
     return dec(e)
+
+
+def _compact(lg: LevelGrammar, length: int, size: int) -> LevelGrammar:
+    """The working grammar, or its level string as one rule once that is
+    no longer than the grammar: from then on each round is one sweep of
+    a single layer, in no more space."""
+    if len(lg) > 1 and length <= size:
+        return lg.flattened()
+    return lg
 
 
 def recompress(slp: Grammar, strategy: str = "mixed", seed: int = 42,
                source: PartitionSource | None = None,
                collect_trace: bool = False) -> RecompressResult:
-    """Run-length grammar of the text an SLP expands to.
+    """Run-length grammar of the text a grammar expands to.
 
     Alternates run and pair replacement on the working grammar until the
     level string is a single symbol; that symbol, wrapped if needed,
@@ -424,8 +537,9 @@ def recompress(slp: Grammar, strategy: str = "mixed", seed: int = 42,
     if not slp.rules:
         raise GrammarError("cannot recompress an empty grammar")
     lg = LevelGrammar.from_slp(slp)
-    lengths, _size = lg.level_lengths()
-    length = lengths[-1]
+    lengths, size = lg.level_lengths()
+    length = int(lengths[-1])
+    lg = _compact(lg, length, size)
     if source is None:
         source = PartitionSource(strategy, seed)
     builder = RlslpBuilder()
@@ -435,19 +549,23 @@ def recompress(slp: Grammar, strategy: str = "mixed", seed: int = 42,
     round_no = 0
     while length > 1:
         if round_no >= limit:
-            raise RuntimeError(f"no convergence within {limit} phases")
+            raise ConvergenceError(f"no convergence within {limit} phases")
+        t0 = time.perf_counter()
         before = builder.productions
         lg = bcomp(lg, builder)
         lengths, size = lg.level_lengths()
-        length = lengths[-1]
+        length = int(lengths[-1])
+        lg = _compact(lg, length, size)
         records.append(RoundRecord(round_no, "bcomp", length,
                                    builder.productions - before,
-                                   work_size=size))
+                                   work_size=size,
+                                   seconds=time.perf_counter() - t0))
         if trace is not None:
             trace.append(lg.level_string())
         round_no += 1
         if length <= 1:
             break
+        t0 = time.perf_counter()
         occ = compute_nocc(lg)
         pairs, alphabet = collect_pair_frequencies(lg, occ)
         part = source.next_partition(pairs, alphabet)
@@ -455,12 +573,14 @@ def recompress(slp: Grammar, strategy: str = "mixed", seed: int = 42,
         before = builder.productions
         lg = pcomp(lg, part, builder)
         lengths, size = lg.level_lengths()
-        length = lengths[-1]
+        length = int(lengths[-1])
+        lg = _compact(lg, length, size)
         records.append(RoundRecord(round_no, "pcomp", length,
                                    builder.productions - before,
                                    replaced_weight=replaced,
                                    total_weight=pairs.total_weight(),
-                                   work_size=size))
+                                   work_size=size,
+                                   seconds=time.perf_counter() - t0))
         if trace is not None:
             trace.append(lg.level_string())
         round_no += 1

@@ -13,6 +13,7 @@ import struct
 from dataclasses import dataclass
 
 MAX_EXPANSION = 2**63 - 1
+MAX_ALPHABET = 256  # terminals are bytes
 
 SLG_MAGIC = b"SLGF"
 SLG_VERSION = 1
@@ -94,8 +95,13 @@ def _check_symbol(sym: int, rule_index: int, alphabet_size: int) -> str | None:
 def validate(g: Grammar) -> ValidationReport:
     """Check ordering, rhs shape, exponents and terminal ranges.
 
-    Returns a report describing the first violation instead of raising.
+    Returns a report describing the first violation instead of raising;
+    a bad alphabet size is reported against rule 0.
     """
+    if not 0 <= g.alphabet_size <= MAX_ALPHABET:
+        return ValidationReport(
+            False, 0, f"alphabet size {g.alphabet_size} outside "
+            f"0..{MAX_ALPHABET}")
     for i, rule in enumerate(g.rules, start=1):
         if isinstance(rule, SeqRule):
             if len(rule.rhs) == 0:
@@ -197,7 +203,8 @@ def iter_expansion(g: Grammar, rule_index: int | None = None,
         raise GrammarError(f"no rule {rule_index}")
     report = validate(g)
     if not report.ok:
-        raise GrammarError(f"rule {report.rule_index}: {report.message}")
+        where = f"rule {report.rule_index}: " if report.rule_index else ""
+        raise GrammarError(where + report.message)
     lengths = expansion_lengths(g)
     memo = _build_memo(g, lengths, memo_budget)
     rules = g.rules
@@ -293,6 +300,8 @@ def decode_grammar(data: bytes) -> Grammar:
         raise FormatError(f"bad magic {magic!r}")
     if version != SLG_VERSION:
         raise FormatError(f"unsupported version {version}")
+    if sigma > MAX_ALPHABET:
+        raise FormatError(f"alphabet size {sigma} exceeds {MAX_ALPHABET}")
     pos = _HEADER.size
     rules: list[Rule] = []
     for i in range(count):

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .partition import (PairMaps, PartitionSource, RecompressResult,
-                        RlslpBuilder, RoundRecord, replaced_weight,
-                        round_limit)
+from .partition import (ConvergenceError, PairMaps, PartitionSource,
+                        RecompressResult, RlslpBuilder, RoundRecord,
+                        replaced_weight, round_limit, sides_of)
 
 
 def text_to_levels(text: bytes) -> np.ndarray:
@@ -55,8 +55,8 @@ def pair_stats_string(s: np.ndarray) -> tuple[PairMaps, list[int]]:
         width = len(usyms)
         codes = inv[:-1].astype(np.int64) * width + inv[1:]
         ucodes, counts = np.unique(codes, return_counts=True)
-        for code, count in zip(ucodes.tolist(), counts.tolist()):
-            maps.add(alphabet[code // width], alphabet[code % width], int(count))
+        maps.add_arrays(usyms[ucodes // width], usyms[ucodes % width],
+                        counts)
     return maps, alphabet
 
 
@@ -71,8 +71,9 @@ def pcomp_string(s: np.ndarray, part, builder: RlslpBuilder) -> np.ndarray:
         return s.copy()
     usyms, inv = np.unique(s, return_inverse=True)
     sym_list = [int(x) for x in usyms.tolist()]
-    left = np.array([part.is_left(x) for x in sym_list], dtype=bool)
-    right = np.array([part.is_right(x) for x in sym_list], dtype=bool)
+    sides = sides_of(part.side_table(), usyms)
+    left = sides == 1
+    right = sides == -1
     starts = np.flatnonzero(left[inv[:-1]] & right[inv[1:]])
     if len(starts) == 0:
         return s.copy()
@@ -105,7 +106,7 @@ def recompress_string(text: bytes, source: PartitionSource | None = None,
     round_no = 0
     while len(s) > 1:
         if round_no >= limit:
-            raise RuntimeError(f"no convergence within {limit} phases")
+            raise ConvergenceError(f"no convergence within {limit} phases")
         before = builder.productions
         s = bcomp_string(s, builder)
         records.append(RoundRecord(round_no, "bcomp", len(s),

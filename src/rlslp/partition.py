@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .grammar import Grammar, RunRule, SeqRule
 
 STRATEGIES = ("det", "rand", "mixed")
@@ -22,47 +24,81 @@ class PartitionError(ValueError):
     """Raised when an injected partition sequence runs dry."""
 
 
+class ConvergenceError(RuntimeError):
+    """Raised when recompression exceeds its phase limit."""
+
+
 def symbol_rank(sym: int) -> int:
     """Total order over level symbols: terminals first by byte value,
     then grammar symbols by rule index."""
     return -sym if sym < 0 else 256 + sym
 
 
-class PairMaps:
-    """Weighted adjacent-pair counts, keyed by normalized symbol pairs.
+def symbol_ranks(syms: np.ndarray) -> np.ndarray:
+    """symbol_rank of every element of an int64 array."""
+    return np.where(syms < 0, -syms, 256 + syms)
 
-    A pair is normalized so the higher-ranked symbol comes first; m0
-    holds pairs seen in normalized order, m1 the swapped ones, so the
-    original orientation is always recoverable.
+
+class PairMaps:
+    """Weighted adjacent-pair counts in text orientation.
+
+    Pair i says that symbol first[i] directly precedes second[i], with
+    total weight weight[i]; every distinct pair is stored once.
     """
 
     def __init__(self) -> None:
-        self.m0: dict[tuple[int, int], int] = {}
-        self.m1: dict[tuple[int, int], int] = {}
+        self.first = np.empty(0, dtype=np.int64)
+        self.second = np.empty(0, dtype=np.int64)
+        self.weight = np.empty(0, dtype=np.int64)
+
+    def add_arrays(self, first: np.ndarray, second: np.ndarray,
+                   weight: np.ndarray) -> None:
+        """Count weight[i] more for every pair (first[i], second[i]);
+        all three are int64 arrays."""
+        if len(self.first):
+            first = np.concatenate((self.first, first))
+            second = np.concatenate((self.second, second))
+            weight = np.concatenate((self.weight, weight))
+        if len(first) == 0:
+            return
+        # ranks are below the largest rank + 1, so the packed key fits
+        # in int64 for any alphabet of fewer than 2^31 symbols
+        ra, rb = symbol_ranks(first), symbol_ranks(second)
+        span = int(max(ra.max(), rb.max())) + 1
+        if span > 1 << 31:
+            raise ValueError("level alphabet too large for pair keys")
+        key = ra * span + rb
+        order = np.argsort(key)
+        key = key[order]
+        starts = np.flatnonzero(np.concatenate(([True],
+                                                key[1:] != key[:-1])))
+        at = order[starts]
+        self.first, self.second = first[at], second[at]
+        self.weight = np.add.reduceat(weight[order], starts)
 
     def add(self, first: int, second: int, weight: int) -> None:
-        if symbol_rank(first) >= symbol_rank(second):
-            key = (first, second)
-            self.m0[key] = self.m0.get(key, 0) + weight
-        else:
-            key = (second, first)
-            self.m1[key] = self.m1.get(key, 0) + weight
+        self.add_arrays(np.array([first]), np.array([second]),
+                        np.array([weight]))
 
     def oriented_items(self):
         """Yield ((a, b), weight) in original text orientation."""
-        yield from self.m0.items()
-        for (f, s), w in self.m1.items():
-            yield (s, f), w
+        yield from zip(zip(self.first.tolist(), self.second.tolist()),
+                       self.weight.tolist())
 
     def total_weight(self) -> int:
-        return sum(self.m0.values()) + sum(self.m1.values())
+        return int(self.weight.sum())
 
 
 @dataclass
 class Partition:
-    """Two-sided split of the level alphabet; True means the left side."""
+    """Two-sided split of the level alphabet; True means the left side.
+
+    The sides must not change once `side_table` has been called.
+    """
 
     sides: dict[int, bool]
+    _table: np.ndarray | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def is_left(self, sym: int) -> bool:
         return self.sides.get(sym) is True
@@ -73,45 +109,95 @@ class Partition:
     def flipped(self) -> "Partition":
         return Partition({s: not v for s, v in self.sides.items()})
 
+    def side_table(self) -> np.ndarray:
+        """Sides indexed by symbol_rank: 1 left, -1 right, 0 for symbols
+        outside the split.  Look symbols up with `sides_of`."""
+        if self._table is None:
+            syms = np.fromiter(self.sides, dtype=np.int64,
+                               count=len(self.sides))
+            left = np.fromiter(self.sides.values(), dtype=bool,
+                               count=len(self.sides))
+            ranks = symbol_ranks(syms)
+            self._table = np.zeros(int(ranks.max(initial=0)) + 1,
+                                   dtype=np.int8)
+            self._table[ranks] = np.where(left, 1, -1)
+        return self._table
+
+
+def sides_of(table: np.ndarray, syms: np.ndarray) -> np.ndarray:
+    """Side (1 left, -1 right, 0 none) of every level symbol in syms."""
+    ranks = symbol_ranks(syms)
+    return np.where(ranks < len(table),
+                    table[np.minimum(ranks, len(table) - 1)], 0)
+
 
 def replaced_weight(pairs: PairMaps, part: Partition) -> int:
     """Total weight of the pairs a replacement pass will consume."""
-    return sum(w for (a, b), w in pairs.oriented_items()
-               if part.is_left(a) and part.is_right(b))
+    table = part.side_table()
+    crossing = ((sides_of(table, pairs.first) == 1)
+                & (sides_of(table, pairs.second) == -1))
+    return int(pairs.weight[crossing].sum())
+
+
+def _rank_order(alphabet) -> np.ndarray:
+    """The alphabet as an int64 array sorted by symbol_rank."""
+    syms = np.fromiter(alphabet, dtype=np.int64)
+    return syms[np.argsort(symbol_ranks(syms), kind="stable")]
 
 
 def deterministic_partition(pairs: PairMaps, alphabet) -> Partition:
     """Greedy split maximizing crossing weight, then oriented the better
-    way round.  Replaced weight is at least a quarter of the total."""
-    adjacency: dict[int, list[tuple[int, int]]] = {}
-    for (a, b), w in pairs.oriented_items():
-        if a == b:
+    way round.  Replaced weight is at least a quarter of the total.
+
+    Symbols are placed in rank order, each opposite the heavier side of
+    its already placed neighbors; ties go left.
+    """
+    syms = _rank_order(alphabet)
+    count = len(syms)
+    if count == 0:
+        return Partition({})
+    ranks = symbol_ranks(syms)
+
+    def position(side: np.ndarray) -> np.ndarray:
+        # place in rank order; -1 outside the alphabet (never placed)
+        r = symbol_ranks(side)
+        at = np.minimum(np.searchsorted(ranks, r), count - 1)
+        return np.where(ranks[at] == r, at, -1)
+
+    ia, ib = position(pairs.first), position(pairs.second)
+    edge = (ia >= 0) & (ib >= 0) & (ia != ib)
+    # each edge weighs on the later-placed end, from the earlier one
+    later = np.maximum(ia, ib)[edge]
+    order = np.argsort(later, kind="stable")
+    ptr = np.searchsorted(later[order], np.arange(count + 1)).tolist()
+    earlier = np.minimum(ia, ib)[edge][order].tolist()
+    weights = pairs.weight[edge][order].tolist()
+    left = [True] * count
+    for i in range(count):
+        lo, hi = ptr[i], ptr[i + 1]
+        if lo == hi:
             continue
-        adjacency.setdefault(a, []).append((b, w))
-        adjacency.setdefault(b, []).append((a, w))
-    sides: dict[int, bool] = {}
-    for sym in sorted(alphabet, key=symbol_rank):
-        to_left = to_right = 0
-        for other, w in adjacency.get(sym, ()):
-            assigned = sides.get(other)
-            if assigned is True:
-                to_left += w
-            elif assigned is False:
-                to_right += w
-        # joining the side opposite the heavier neighborhood keeps more
-        # pairs crossing; ties go left
-        sides[sym] = False if to_left > to_right else True
-    part = Partition(sides)
-    forward = replaced_weight(pairs, part)
-    backward = replaced_weight(pairs, part.flipped())
-    return part if forward >= backward else part.flipped()
+        balance = 0
+        for j, w in zip(earlier[lo:hi], weights[lo:hi]):
+            balance += w if left[j] else -w
+        if balance > 0:
+            left[i] = False
+    side = np.array(left, dtype=bool)
+    placed = (ia >= 0) & (ib >= 0)
+    la, lb = side[ia[placed]], side[ib[placed]]
+    w = pairs.weight[placed]
+    forward = int(w[la & ~lb].sum())
+    backward = int(w[~la & lb].sum())
+    if forward < backward:
+        left = [not x for x in left]
+    return Partition(dict(zip(syms.tolist(), left)))
 
 
 def randomized_partition(alphabet, rng: random.Random) -> Partition:
     """Independent fair coin per symbol, in rank order for stable
     replay under a fixed seed."""
     return Partition({sym: bool(rng.getrandbits(1))
-                      for sym in sorted(alphabet, key=symbol_rank)})
+                      for sym in _rank_order(alphabet).tolist()})
 
 
 def make_partition(pairs: PairMaps, alphabet, strategy: str,
@@ -169,6 +255,7 @@ class RoundRecord:
     replaced_weight: int = 0
     total_weight: int = 0
     work_size: int = 0  # working grammar size, grammar engine only
+    seconds: float = 0.0  # wall time of the phase
 
 
 def records_to_tsv(records: list[RoundRecord]) -> str:
@@ -181,6 +268,8 @@ def records_to_tsv(records: list[RoundRecord]) -> str:
                      ("total_weight", r.total_weight)]
         if r.work_size:
             rows.append(("work_size", r.work_size))
+        if r.seconds:
+            rows.append(("seconds", f"{r.seconds:.6f}"))
         for metric, value in rows:
             lines.append(f"{r.round}\t{r.phase}\t{metric}\t{value}")
     return "\n".join(lines) + "\n"

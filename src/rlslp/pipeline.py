@@ -8,6 +8,7 @@ made without the input text buffer polluting the numbers.
 
 from __future__ import annotations
 
+import os
 import resource
 import time
 import tracemalloc
@@ -114,6 +115,22 @@ def run_stage(report: StatsReport, name: str, fn, profile: bool = True):
     return result
 
 
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write data to path through a temporary file in the same directory,
+    renamed into place, so that a failure leaves the previous file (or
+    none), never a partial one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def verify_expansion(g: Grammar, text: bytes) -> int | None:
     """First mismatch offset between expand(g) and text, None if equal."""
     off = 0
@@ -158,7 +175,8 @@ def run_pipeline(input_path: str | Path, output_path: str | Path,
     """Compress a text file into a stored run-length grammar.
 
     Writes the grammar to output_path (or the factorization, when only
-    the parse stage is selected) and returns the stats report; the
+    the parse stage is selected) once every stage, and the verification
+    if asked for, has succeeded, and returns the stats report; the
     caller persists the report wherever it wants it.
     """
     cfg = cfg or PipelineConfig()
@@ -176,28 +194,28 @@ def run_pipeline(input_path: str | Path, output_path: str | Path,
                    profile=prof)
     report.counts["phrases"] = len(fz.phrases)
     if cfg.lz_only:
-        output_path.write_bytes(encode_factorization(fz))
+        write_atomic(output_path, encode_factorization(fz))
         return report
     if cfg.keep_intermediates:
-        Path(str(output_path) + ".lzpf").write_bytes(encode_factorization(fz))
+        write_atomic(str(output_path) + ".lzpf", encode_factorization(fz))
 
     slg = run_stage(report, "lz_to_slg", lambda: lz_to_slg(fz),
                     profile=prof)
     report.counts["slg_rules"] = len(slg.rules)
     if cfg.keep_intermediates:
-        Path(str(output_path) + ".slg").write_bytes(encode_grammar(slg))
+        write_atomic(str(output_path) + ".slg", encode_grammar(slg))
 
     slp = run_stage(report, "slg_to_slp", lambda: slg_to_slp(slg),
                     profile=prof)
     report.counts["slp_rules"] = len(slp.rules)
     if cfg.keep_intermediates:
-        Path(str(output_path) + ".slp").write_bytes(encode_grammar(slp))
+        write_atomic(str(output_path) + ".slp", encode_grammar(slp))
 
     pruned = run_stage(report, "prune_slp", lambda: prune_slp(slp),
                        profile=prof)
     report.counts["pruned_rules"] = len(pruned.rules)
     if cfg.keep_intermediates:
-        Path(str(output_path) + ".pruned").write_bytes(encode_grammar(pruned))
+        write_atomic(str(output_path) + ".pruned", encode_grammar(pruned))
 
     result = run_stage(report, "recompress",
                        lambda: recompress(pruned, cfg.strategy, cfg.seed),
@@ -205,11 +223,12 @@ def run_pipeline(input_path: str | Path, output_path: str | Path,
     size = grammar_size(result.grammar)
     report.counts["productions"] = size.productions
     report.counts["grammar_size"] = size.size
-    output_path.write_bytes(encode_grammar(result.grammar))
+    data = encode_grammar(result.grammar)
 
     if cfg.verify:
         offset = verify_expansion(result.grammar, text)
         if offset is not None:
             raise PipelineError(
                 "verify", f"expansion mismatch at offset {offset}")
+    write_atomic(output_path, data)
     return report

@@ -156,10 +156,10 @@ def test_criterion_07_nocc_brute_force():
     checked = 0
     while checked < 200:
         lg = LevelGrammar.from_slp(random_seq_grammar(rng))
-        m = len(lg.rules)
+        m = len(lg)
         nodes = [0] * (m + 1)
         for j in range(1, m + 1):
-            nodes[j] = 1 + sum(nodes[e] for e in lg.rules[j - 1] if e > 0)
+            nodes[j] = 1 + sum(nodes[e] for e in lg.rhs(j) if e > 0)
         if nodes[m] > 1000:
             continue
         counts = [0] * (m + 1)
@@ -167,10 +167,10 @@ def test_criterion_07_nocc_brute_force():
         while stack:
             j = stack.pop()
             counts[j] += 1
-            for e in lg.rules[j - 1]:
+            for e in lg.rhs(j):
                 if e > 0:
                     stack.append(e)
-        assert compute_nocc(lg) == counts
+        assert compute_nocc(lg).tolist() == counts
         checked += 1
     print(f"criterion 07: PASS ({checked} grammars)")
 

@@ -12,17 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mutated_text, random_seq_grammar, random_text
-from rlslp.engine import (LevelGrammar, RunVector, bcomp,
-                          collect_pair_frequencies, compute_nocc,
-                          compute_runs, dec, enc, pcomp, recompress)
-from rlslp.grammar import (Grammar, GrammarError, RunRule, SeqRule, expand,
+from conftest import (mutated_text, random_rlslp, random_seq_grammar,
+                      random_text)
+from rlslp.engine import (LevelGrammar, bcomp, collect_pair_frequencies,
+                          compute_nocc, dec, enc, pcomp, recompress)
+from rlslp.grammar import (Grammar, GrammarError, RunRule, SeqRule,
+                           decode_grammar, expand, expansion_lengths,
                            validate)
 from rlslp.lz import parse_bentley_mcilroy
 from rlslp.naive import (bcomp_string, pair_stats_string, pcomp_string,
                          recompress_string, text_to_levels)
-from rlslp.partition import (PartitionSource, RlslpBuilder,
-                             randomized_partition)
+from rlslp.partition import (ConvergenceError, PartitionSource,
+                             RlslpBuilder, randomized_partition)
+from rlslp.pipeline import PipelineConfig, run_pipeline
 from rlslp.slg import lz_to_slg, prune_slp, slg_to_slp
 
 
@@ -35,26 +37,6 @@ A, B = term("a"), term("b")
 
 def slp_of(t: bytes) -> Grammar:
     return prune_slp(slg_to_slp(lz_to_slg(parse_bentley_mcilroy(t, 8))))
-
-
-def expand_rule(lg: LevelGrammar, j: int, cache: dict) -> list[int]:
-    if j in cache:
-        return cache[j]
-    out: list[int] = []
-    for e in lg.rules[j - 1]:
-        if e < 0:
-            out.append(dec(e))
-        else:
-            out.extend(expand_rule(lg, e, cache))
-    cache[j] = out
-    return out
-
-
-def first_run(s: list[int]) -> tuple[int, int]:
-    c = 1
-    while c < len(s) and s[c] == s[0]:
-        c += 1
-    return s[0], c
 
 
 # --- symbol encoding ---------------------------------------------------
@@ -77,18 +59,51 @@ def test_enc_dec_round_trip(sym):
 # --- level grammar import ----------------------------------------------
 
 
-def test_from_slp_rejects_run_rules():
-    g = Grammar([RunRule(A, 3)])
+def test_from_slp_expands_run_rules_by_doubling():
+    g = Grammar([SeqRule((A, B)), RunRule(1, 1000), SeqRule((B, 2, A))])
+    lg = LevelGrammar.from_slp(g)
+    assert lg.level_string().tolist() == text_to_levels(expand(g)).tolist()
+    # 1000 = 0b1111101000: nine doublings and five partial products
+    assert len(lg) == 1 + 9 + 5 + 1
+    assert LevelGrammar.from_slp(
+        Grammar([RunRule(A, 3)])).level_string().tolist() == [A, A, A]
     with pytest.raises(GrammarError):
-        LevelGrammar.from_slp(g)
-    with pytest.raises(GrammarError):
-        recompress(Grammar([RunRule(A, 3), SeqRule((1, A))]))
+        LevelGrammar.from_slp(Grammar([RunRule(A, 1)]))
+
+
+def test_recompress_accepts_run_length_grammars():
+    rng = random.Random(512)
+    for i in range(150):
+        g = random_rlslp(rng)
+        if expansion_lengths(g)[-1] > 20000:
+            continue
+        text = expand(g)
+        rg = recompress(g, strategy="mixed", seed=i)
+        assert expand(rg.grammar) == text
+        assert rg.grammar.rules == recompress_string(
+            text, strategy="mixed", seed=i).grammar.rules
+
+
+def test_recompress_accepts_pipeline_output(tmp_path):
+    text = mutated_text(random.Random(509), 40, 3000) + b"a" * 700
+    inp, out = tmp_path / "in.bin", tmp_path / "out.slgf"
+    inp.write_bytes(text)
+    run_pipeline(inp, out, PipelineConfig(block_size=8))
+    g = decode_grammar(out.read_bytes())
+    assert any(isinstance(r, RunRule) for r in g.rules)
+    res = recompress(g, strategy="mixed", seed=3)
+    assert validate(res.grammar).ok
+    assert expand(res.grammar) == text
+    # imported run rules leave the level string as it was, so the
+    # result equals the string engine's
+    assert res.grammar.rules == recompress_string(
+        text, strategy="mixed", seed=3).grammar.rules
 
 
 def test_from_slp_drops_unreachable_rules():
     g = Grammar([SeqRule((A, B)), SeqRule((B, B)), SeqRule((1, A))])
     lg = LevelGrammar.from_slp(g)
-    assert len(lg.rules) == 2
+    assert len(lg) == 2
     assert lg.level_string().tolist() == [A, B, A]
 
 
@@ -99,68 +114,17 @@ def test_level_string_matches_expansion():
         lg = LevelGrammar.from_slp(g)
         assert lg.level_string().tolist() == text_to_levels(
             expand(g)).tolist()
+        flat = lg.flattened()
+        assert len(flat) == 1
+        assert flat.level_string().tolist() == lg.level_string().tolist()
 
 
 def test_level_lengths_frozen():
     lg = LevelGrammar.from_slp(
         Grammar([SeqRule((A, B)), SeqRule((1, 1, A))]))
     lengths, size = lg.level_lengths()
-    assert lengths == [0, 2, 5]
+    assert lengths.tolist() == [0, 2, 5]
     assert size == 5
-
-
-# --- run vectors --------------------------------------------------------
-
-
-def test_run_vector_overflow_entries():
-    v = RunVector()
-    v.append(A, 3)
-    v.append(B, 300)
-    v.append(A, 254)
-    v.append(B, 255)
-    assert len(v) == 4
-    assert v.get(1) == (A, 3)
-    assert v.get(2) == (B, 300)
-    assert v.get(3) == (A, 254)
-    assert v.get(4) == (B, 255)
-
-
-def test_compute_runs_frozen():
-    g = Grammar([SeqRule((A, A, A, B)), SeqRule((B, B, A, A)),
-                 SeqRule((1, 2))])
-    lr, rr = compute_runs(LevelGrammar.from_slp(g))
-    assert lr.get(1) == (A, 3) and rr.get(1) == (B, 1)
-    assert lr.get(2) == (B, 2) and rr.get(2) == (A, 2)
-    assert lr.get(3) == (A, 3) and rr.get(3) == (A, 2)
-
-
-def test_compute_runs_single_pair_rule():
-    lr, rr = compute_runs(LevelGrammar.from_slp(Grammar([SeqRule((A, B))])))
-    assert lr.get(1) == (A, 1)
-    assert rr.get(1) == (B, 1)
-
-
-def test_compute_runs_long_run_exceeds_byte():
-    lg = LevelGrammar.from_slp(Grammar([SeqRule((A,) * 300)]))
-    lr, rr = compute_runs(lg)
-    assert lr.get(1) == (A, 300)
-    assert rr.get(1) == (A, 300)
-
-
-def test_compute_runs_against_brute():
-    rng = random.Random(501)
-    for _ in range(120):
-        lg = LevelGrammar.from_slp(random_seq_grammar(rng))
-        lengths, _ = lg.level_lengths()
-        if sum(lengths) > 20000:
-            continue
-        lr, rr = compute_runs(lg)
-        cache: dict = {}
-        for j in range(1, len(lg.rules) + 1):
-            s = expand_rule(lg, j, cache)
-            assert lr.get(j) == first_run(s)
-            assert rr.get(j) == tuple(
-                (first_run(s[::-1])[0], first_run(s[::-1])[1]))
 
 
 # --- bcomp --------------------------------------------------------------
@@ -192,18 +156,105 @@ def test_bcomp_matches_string_engine():
         assert all(got[i] != got[i + 1] for i in range(len(got) - 1))
 
 
+def test_bcomp_runs_across_rule_boundaries_frozen():
+    g = Grammar([SeqRule((A, A, A, B)), SeqRule((B, B, A, A)),
+                 SeqRule((1, 2))])
+    builder = RlslpBuilder()
+    out = bcomp(LevelGrammar.from_slp(g), builder)
+    assert builder.rules == [RunRule(B, 3), RunRule(A, 2), RunRule(A, 3)]
+    assert out.level_string().tolist() == [3, 1, 2]
+    builder = RlslpBuilder()
+    out = bcomp(LevelGrammar.from_slp(Grammar([SeqRule((A, B))])), builder)
+    assert builder.rules == []
+    assert out.level_string().tolist() == [A, B]
+
+
+def test_bcomp_long_run_across_children():
+    # a^1000 = a^512 a^256 a^128 a^64 a^32 a^8, each built by doubling,
+    # so the run spans six children and its length exceeds a byte
+    rules = [SeqRule((A, A))]
+    for _ in range(8):
+        rules.append(SeqRule((len(rules), len(rules))))
+    rules.append(SeqRule((9, 8, 7, 6, 5, 3)))
+    rules.append(SeqRule((B, 10, B, 1, 10)))
+    g = Grammar(rules)
+    bg, bs = RlslpBuilder(), RlslpBuilder()
+    out = bcomp(LevelGrammar.from_slp(g), bg)
+    want = bcomp_string(text_to_levels(expand(g)), bs)
+    assert out.level_string().tolist() == want.tolist()
+    assert bg.rules == bs.rules == [RunRule(A, 1000), RunRule(A, 1002)]
+    assert want.tolist() == [B, 1, B, 2]
+
+
+def _comb(rng: random.Random, depth: int) -> Grammar:
+    """Left-deep chain: every rule extends the previous one by a short
+    run, so the height equals the rule count."""
+    rules = [SeqRule((A,))]
+    for j in range(1, depth):
+        sym = rng.choice((A, B, term("c")))
+        rules.append(SeqRule((j,) + (sym,) * rng.randint(1, 3)))
+    return Grammar(rules)
+
+
+def _unbalanced_grammars(rng: random.Random):
+    made = 0
+    while made < 60:
+        g = random_seq_grammar(rng, max_rules=40, max_rhs=6)
+        if expansion_lengths(g)[-1] > 20000:
+            continue
+        yield g
+        if made % 6 == 0:
+            yield _comb(rng, rng.randint(50, 300))
+        made += 1
+
+
+def test_layered_sweeps_match_string_engine_on_unbalanced_grammars():
+    rng = random.Random(510)
+    for g in _unbalanced_grammars(rng):
+        text = expand(g)
+        bg, bs = RlslpBuilder(), RlslpBuilder()
+        lg = bcomp(LevelGrammar.from_slp(g), bg)
+        s = bcomp_string(text_to_levels(text), bs)
+        assert lg.level_string().tolist() == s.tolist()
+        assert bg.rules == bs.rules
+        if len(s) < 2:
+            continue
+        pairs, alphabet = collect_pair_frequencies(lg, compute_nocc(lg))
+        want_pairs, want_alphabet = pair_stats_string(s)
+        assert set(alphabet) == set(want_alphabet)
+        assert dict(pairs.oriented_items()) == dict(
+            want_pairs.oriented_items())
+        part = randomized_partition(alphabet, random.Random(rng.random()))
+        out = pcomp(lg, part, bg)
+        assert out.level_string().tolist() == pcomp_string(
+            s, part, bs).tolist()
+        assert bg.rules == bs.rules
+
+
+def test_recompress_lock_step_on_unbalanced_grammars():
+    rng = random.Random(511)
+    for i, g in enumerate(_unbalanced_grammars(rng)):
+        text = expand(g)
+        rs = recompress_string(text, strategy="rand", seed=i,
+                               collect_trace=True)
+        rg = recompress(g, strategy="rand", seed=i, collect_trace=True)
+        assert [t.tolist() for t in rg.trace] == [t.tolist()
+                                                 for t in rs.trace]
+        assert rg.grammar.rules == rs.grammar.rules
+
+
 # --- occurrence counts and pair statistics -----------------------------
 
 
 def test_nocc_frozen():
     g = Grammar([SeqRule((A, B)), SeqRule((1, 1)), SeqRule((2, 2))])
     occ = compute_nocc(LevelGrammar.from_slp(g))
-    assert occ == [0, 4, 2, 1]
+    assert occ.tolist() == [0, 4, 2, 1]
 
 
 def test_nocc_single_rule():
     occ = compute_nocc(LevelGrammar.from_slp(Grammar([SeqRule((A, B))])))
-    assert occ == [0, 1]
+    assert occ.tolist() == [0, 1]
 
 
 def test_nocc_against_tree_walk():
@@ -211,10 +262,10 @@ def test_nocc_against_tree_walk():
     checked = 0
     while checked < 200:
         lg = LevelGrammar.from_slp(random_seq_grammar(rng))
-        m = len(lg.rules)
+        m = len(lg)
         nodes = [0] * (m + 1)
         for j in range(1, m + 1):
-            nodes[j] = 1 + sum(nodes[e] for e in lg.rules[j - 1] if e > 0)
+            nodes[j] = 1 + sum(nodes[e] for e in lg.rhs(j) if e > 0)
         if nodes[m] > 10000:
             continue
         counts = [0] * (m + 1)
@@ -222,10 +273,10 @@ def test_nocc_against_tree_walk():
         while stack:
             j = stack.pop()
             counts[j] += 1
-            for e in lg.rules[j - 1]:
+            for e in lg.rhs(j):
                 if e > 0:
                     stack.append(e)
-        assert compute_nocc(lg) == counts
+        assert compute_nocc(lg).tolist() == counts
         checked += 1
 
 
@@ -233,7 +284,7 @@ def test_pair_frequencies_frozen():
     g = Grammar([SeqRule((A, B)), SeqRule((A, B)), SeqRule((1, 2))])
     lg = LevelGrammar.from_slp(g)
     maps, alphabet = collect_pair_frequencies(lg, compute_nocc(lg))
-    assert alphabet == {A, B}
+    assert set(alphabet) == {A, B}
     assert dict(maps.oriented_items()) == {(A, B): 2, (B, A): 1}
 
 
@@ -247,7 +298,7 @@ def test_pair_frequencies_match_level_string():
         maps, alphabet = collect_pair_frequencies(lg, compute_nocc(lg))
         s = lg.level_string()
         want_maps, want_alpha = pair_stats_string(s)
-        assert alphabet == set(want_alpha)
+        assert set(alphabet) == set(want_alpha)
         assert dict(maps.oriented_items()) == dict(want_maps.oriented_items())
         assert maps.total_weight() == len(s) - 1
 
@@ -294,6 +345,18 @@ def test_recompress_trace_frozen():
 def test_recompress_empty_grammar_rejected():
     with pytest.raises(GrammarError):
         recompress(Grammar([]))
+
+
+def test_recompress_no_convergence_is_typed(monkeypatch):
+    import rlslp.engine
+    monkeypatch.setattr(rlslp.engine, "round_limit", lambda n: 1)
+    with pytest.raises(ConvergenceError, match="within 1 phases"):
+        recompress(slp_of(b"abracadabra"))
+
+
+def test_recompress_records_phase_seconds():
+    res = recompress(slp_of(b"abracadabra" * 20))
+    assert res.records and all(r.seconds > 0 for r in res.records)
 
 
 def test_recompress_round_trips():

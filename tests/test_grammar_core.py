@@ -40,6 +40,22 @@ def test_validate_rejects_terminal_outside_alphabet():
     assert validate(Grammar([SeqRule((-2,))], alphabet_size=2)).ok
 
 
+def test_validate_rejects_alphabet_above_bytes():
+    g = Grammar([SeqRule((-1, -2))], alphabet_size=400)
+    report = validate(g)
+    assert not report.ok and report.rule_index == 0
+    assert "alphabet size 400" in report.message
+    assert validate(Grammar([SeqRule((-1,))], alphabet_size=256)).ok
+    with pytest.raises(GrammarError, match="alphabet size 400"):
+        expand(g)
+
+
+def test_decode_rejects_alphabet_above_bytes():
+    blob = encode_grammar(Grammar([SeqRule((-1,))], alphabet_size=400))
+    with pytest.raises(FormatError, match="alphabet size 400"):
+        decode_grammar(blob)
+
+
 def test_expand_run_rule():
     # -2 is 'a' (byte 1), -3 is 'b' (byte 2): Run over the pair gives abab
     g = Grammar([SeqRule((-2, -3)), RunRule(1, 2)])

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -163,6 +164,24 @@ def test_records_to_tsv_frozen():
         "2\tpcomp\ttotal_weight\t4\n"
         "2\tpcomp\twork_size\t9\n"
     )
+
+
+def test_records_to_tsv_seconds_row_only_when_timed():
+    from rlslp.partition import RoundRecord
+    timed = RoundRecord(round=0, phase="bcomp", length_after=5,
+                        new_rules=2, work_size=9, seconds=0.25)
+    assert records_to_tsv([timed]).endswith(
+        "0\tbcomp\twork_size\t9\n0\tbcomp\tseconds\t0.250000\n")
+    untimed = RoundRecord(round=0, phase="bcomp", length_after=5,
+                          new_rules=2)
+    assert "seconds" not in records_to_tsv([untimed])
+
+
+def test_partition_side_table_by_rank():
+    from rlslp.partition import sides_of
+    part = Partition({A: True, B: False, 5: False})
+    syms = np.array([A, B, C, 5, 6, 10**6])
+    assert sides_of(part.side_table(), syms).tolist() == [1, -1, 0, -1, 0, 0]
 
 
 def test_builder_assigns_run_ids_in_sorted_order():

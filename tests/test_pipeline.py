@@ -11,7 +11,8 @@ from rlslp.dataset import gen_dataset, load_sample
 from rlslp.grammar import FormatError, decode_grammar, expand
 from rlslp.lz import decode_factorization, decode_factorization_bytes
 from rlslp.pipeline import (STAGE_NAMES, PipelineConfig, PipelineError,
-                            run_pipeline, verify_expansion, verify_files)
+                            run_pipeline, verify_expansion, verify_files,
+                            write_atomic)
 
 
 # --- dataset ------------------------------------------------------------
@@ -251,6 +252,60 @@ def test_cli_error_paths(tmp_path, capsys):
     assert cli.main(["gen-dataset", str(tmp_path / "d"), "--target-size",
                      "10", "--mutation-rate", "7"]) == 1
     capsys.readouterr()
+
+
+def test_cli_recompress_accepts_pipeline_output(tmp_path):
+    inp, _ = _write_corpus(tmp_path, size=20000)
+    first, again = tmp_path / "g.slgf", tmp_path / "again.slgf"
+    assert cli.main(["pipeline", str(inp), str(first)]) == 0
+    assert cli.main(["recompress", str(first), str(again)]) == 0
+    assert cli.main(["verify", str(again), str(inp)]) == 0
+
+
+def test_cli_no_convergence_is_reported(tmp_path, capsys, monkeypatch):
+    import rlslp.engine
+    inp, _ = _write_corpus(tmp_path, size=5000)
+    slgf = tmp_path / "g.slgf"
+    assert cli.main(["pipeline", str(inp), str(slgf)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(rlslp.engine, "round_limit", lambda n: 1)
+    assert cli.main(["recompress", str(slgf), str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "error: [recompress] no convergence within 1 phases" in err
+    assert cli.main(["pipeline", str(inp), str(tmp_path / "o")]) == 1
+    assert "error: [recompress] no convergence within 1 phases" in \
+        capsys.readouterr().err
+
+
+def test_failed_recompress_keeps_previous_output(tmp_path, monkeypatch):
+    import rlslp.engine
+    inp, _ = _write_corpus(tmp_path, size=5000)
+    slgf = tmp_path / "g.slgf"
+    run_pipeline(inp, slgf, PipelineConfig())
+    out = tmp_path / "out.slgf"
+    out.write_bytes(b"previous bytes")
+    monkeypatch.setattr(rlslp.engine, "round_limit", lambda n: 1)
+    assert cli.main(["recompress", str(slgf), str(out)]) == 1
+    with pytest.raises(PipelineError):
+        run_pipeline(inp, out, PipelineConfig())
+    assert out.read_bytes() == b"previous bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "g.slgf", "in.bin", "out.slgf"]
+
+
+def test_write_atomic_failure_leaves_previous_file(tmp_path, monkeypatch):
+    import os
+    out = tmp_path / "out.bin"
+    write_atomic(out, b"first")
+    assert out.read_bytes() == b"first"
+
+    def broken_replace(src, dst):
+        raise OSError("disk full")
+    monkeypatch.setattr(os, "replace", broken_replace)
+    with pytest.raises(OSError):
+        write_atomic(out, b"second")
+    assert out.read_bytes() == b"first"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 
 def test_cli_parse_size_suffixes():
