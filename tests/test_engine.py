@@ -186,6 +186,56 @@ def test_bcomp_long_run_across_children():
     assert want.tolist() == [B, 1, B, 2]
 
 
+def level_runs(g: Grammar) -> list[tuple[int, int]]:
+    """The maximal runs of g's level string, as bcomp replaces them:
+    a run rule's id stands for (base, exponent), any other symbol for
+    a run of one."""
+    builder = RlslpBuilder()
+    out = bcomp(LevelGrammar.from_slp(g), builder).level_string().tolist()
+    runs = []
+    for s in out:
+        r = builder.rules[s - 1] if s > 0 else None
+        runs.append((r.base, r.exponent) if isinstance(r, RunRule)
+                    else (s, 1))
+    return runs
+
+
+def boundary_runs(g: Grammar, j: int
+                  ) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Maximal prefix and suffix run of rule j's level expansion."""
+    runs = level_runs(Grammar(g.rules[:j]))
+    return runs[0], runs[-1]
+
+
+def test_run_vector_overflow_entries():
+    # run lengths above a byte and at its edge, each merged across
+    # child boundaries, come out of run replacement whole
+    g = Grammar([SeqRule((B,) * 150), SeqRule((A,) * 127),
+                 SeqRule((1,) + (B,) * 105),
+                 SeqRule((A, A, A, 1, 1, 2, 2, 3))])
+    runs = level_runs(g)
+    assert len(runs) == 4
+    assert runs == [(A, 3), (B, 300), (A, 254), (B, 255)]
+
+
+def test_compute_runs_frozen():
+    g = Grammar([SeqRule((A, A, A, B)), SeqRule((B, B, A, A)),
+                 SeqRule((1, 2))])
+    assert boundary_runs(g, 1) == ((A, 3), (B, 1))
+    assert boundary_runs(g, 2) == ((B, 2), (A, 2))
+    assert boundary_runs(g, 3) == ((A, 3), (A, 2))
+
+
+def test_compute_runs_single_pair_rule():
+    g = Grammar([SeqRule((A, B))])
+    assert boundary_runs(g, 1) == ((A, 1), (B, 1))
+
+
+def test_compute_runs_long_run_exceeds_byte():
+    g = Grammar([SeqRule((A,) * 300)])
+    assert boundary_runs(g, 1) == ((A, 300), (A, 300))
+
+
 def _comb(rng: random.Random, depth: int) -> Grammar:
     """Left-deep chain: every rule extends the previous one by a short
     run, so the height equals the rule count."""
