@@ -21,17 +21,18 @@ LZ_VERSION = 1
 
 DEFAULT_BLOCK_SIZE = 50
 
-# Rolling fingerprints: polynomial hash modulo the Mersenne prime 2^61-1.
 FP_MOD = (1 << 61) - 1
-DEFAULT_FP_BASE = 256
-
-_MASK53 = (1 << 53) - 1
 
 
 @dataclass(frozen=True)
 class Phrase:
     pos: int     # 1-based source position, or byte value for literals
     length: int  # 0 for literals
+
+
+# phrases are immutable, so every literal of one byte value can share
+# one object: the scan then allocates nothing per literal
+_LITERALS = tuple(Phrase(byte, 0) for byte in range(256))
 
 
 @dataclass
@@ -81,124 +82,40 @@ def parse_exact_lz77(text: bytes) -> Factorization:
     return Factorization(phrases, n)
 
 
-def _block_fingerprints(text: bytes, block_size: int, base: int) -> list[int]:
-    """Fingerprints of the full blocks at offsets 0, B, 2B, ..."""
-    m = len(text) // block_size
-    if m == 0:
-        return []
-    if base == 256:
-        # Horner column-by-column; v*256 mod (2^61-1) folds via 2^61 = 1.
-        blocks = np.frombuffer(text, dtype=np.uint8,
-                               count=m * block_size).reshape(m, block_size)
-        v = np.zeros(m, dtype=np.uint64)
-        for col in range(block_size):
-            v = (v >> np.uint64(53)) + ((v & np.uint64(_MASK53)) << np.uint64(8))
-            v += blocks[:, col].astype(np.uint64)
-            v = (v & np.uint64(FP_MOD)) + (v >> np.uint64(61))
-        v = np.where(v >= FP_MOD, v - FP_MOD, v)
-        return v.tolist()
-    out = []
-    for j in range(m):
-        h = 0
-        for byte in text[j * block_size:(j + 1) * block_size]:
-            h = (h * base + byte) % FP_MOD
-        out.append(h)
-    return out
+def fingerprint(chunk: bytes) -> int:
+    """Karp-Rabin fingerprint: chunk read as a base-256 number, modulo
+    the Mersenne prime 2^61 - 1.  Every fingerprint the parser compares
+    equals this value."""
+    return int.from_bytes(chunk, "big") % FP_MOD
 
 
-def _fingerprint(chunk: bytes, base: int) -> int:
-    h = 0
-    for byte in chunk:
-        h = (h * base + byte) % FP_MOD
-    return h
+def _block_fingerprints(text: bytes, block_size: int) -> np.ndarray:
+    """Fingerprints of the full blocks at offsets 0, B, 2B, ..., computed
+    for all blocks at once.
 
-
-# Inputs at least this long precompute every window fingerprint in bulk
-# instead of rolling the hash byte by byte inside the scan loop.
-BULK_FP_MIN = 1 << 16
-
-_ROW = 2048
-
-
-def _canon(v: np.ndarray, mod: np.uint64) -> np.ndarray:
-    """Reduce folded sums to canonical residues.  v - mod wraps above v
-    whenever v < mod, so the minimum picks the reduced value."""
-    return np.minimum(v, v - mod)
-
-
-def _rot_mul(v: np.ndarray, shift: int, mod: np.uint64) -> np.ndarray:
-    """v * 2^shift modulo 2^61 - 1.  Powers of two act as 61-bit
-    rotations, so no multiply can overflow uint64."""
-    s = np.uint64(shift % 61)
-    inv = np.uint64(61) - s
-    out = (v >> inv) + ((v & ((np.uint64(1) << inv) - np.uint64(1))) << s)
-    return _canon((out & mod) + (out >> np.uint64(61)), mod)
-
-
-def _window_fingerprints(text: bytes, block_size: int) -> np.ndarray:
-    """Fingerprint of text[i:i+B] for every window start, base 256.
-
-    Row-local prefix hashes are built column-parallel (Horner over the
-    columns of an (rows, _ROW) reshape), seeded row by row into global
-    prefix hashes, and differenced into window values.  Every value is
-    the canonical residue the scalar path computes, so the two hashing
-    paths can share one fingerprint table.
+    A block is read as a head of B mod 8 bytes followed by big-endian
+    64-bit words, and folded by Horner's rule in base 2^64.  As
+    2^61 = 1 modulo 2^61 - 1, multiplying by 2^64 is a 61-bit rotation by
+    3, and a word reduces to its low 61 bits plus its top 3, so no step
+    can overflow uint64.
     """
-    n = len(text)
-    blk = block_size
-    count = n - blk + 1
-    if count <= 0:
-        return np.empty(0, dtype=np.uint64)
+    m = len(text) // block_size
+    words, head = divmod(block_size, 8)
     mod = np.uint64(FP_MOD)
-    rows = -(-n // _ROW)
-    data = np.zeros(rows * _ROW, dtype=np.uint8)
-    data[:n] = np.frombuffer(text, dtype=np.uint8)
-    # transpose so the Horner loop reads contiguous columns
-    cols = np.ascontiguousarray(data.reshape(rows, _ROW).T).astype(np.uint64)
-    wt = np.empty((_ROW + 1, rows), dtype=np.uint64)
-    wt[0] = 0
-    v = np.zeros(rows, dtype=np.uint64)
-    c8, c53, c61 = np.uint64(8), np.uint64(53), np.uint64(61)
-    m53 = np.uint64(_MASK53)
-    for c in range(_ROW):
-        v = (v >> c53) + ((v & m53) << c8)
-        v = v + cols[c]
+    c3, c8, c58, c61 = (np.uint64(k) for k in (3, 8, 58, 61))
+    low58 = np.uint64((1 << 58) - 1)
+    blocks = np.frombuffer(text, dtype=np.uint8,
+                           count=m * block_size).reshape(m, block_size)
+    v = np.zeros(m, dtype=np.uint64)
+    for col in range(head):
+        v = (v << c8) + blocks[:, col]
+    limbs = blocks[:, head:].view(">u8")
+    for col in range(words):
+        w = limbs[:, col].astype(np.uint64)
+        v = (v >> c58) + ((v & low58) << c3)
+        v += (w & mod) + (w >> c61)
         v = (v & mod) + (v >> c61)
-        wt[c + 1] = v
-    # prefix hash at each row start, exact integer arithmetic
-    row_pow = pow(256, _ROW, FP_MOD)
-    seeds = np.empty(rows, dtype=np.uint64)
-    acc = 0
-    for r in range(rows):
-        seeds[r] = acc
-        acc = (acc * row_pow + int(wt[_ROW, r])) % FP_MOD
-    w = np.ascontiguousarray(wt.T)  # (rows, _ROW + 1)
-    del wt
-    # global prefix hashes p[k] for k = 0..n, combined slab-wise
-    shifts = (np.arange(_ROW + 1, dtype=np.uint64) * c8) % c61
-    invs = c61 - shifts
-    masks = (np.uint64(1) << invs) - np.uint64(1)
-    p = np.empty(rows * _ROW + 1, dtype=np.uint64)
-    slab = max(1, (1 << 22) // (_ROW * 8))
-    for r0 in range(0, rows, slab):
-        r1 = min(r0 + slab, rows)
-        sc = seeds[r0:r1, None]
-        rot = (sc >> invs[None, :]) + ((sc & masks[None, :]) << shifts[None, :])
-        rot = _canon((rot & mod) + (rot >> c61), mod)
-        q = rot + w[r0:r1]
-        q = _canon((q & mod) + (q >> c61), mod)
-        p[r0 * _ROW:r1 * _ROW] = q[:, :_ROW].reshape(-1)
-    p[rows * _ROW] = acc if n == rows * _ROW else 0
-    del w
-    # window value: p[i + B] - p[i] * 2^(8B)
-    out = np.empty(count, dtype=np.uint64)
-    step = 1 << 20
-    for i0 in range(0, count, step):
-        i1 = min(i0 + step, count)
-        a = _rot_mul(p[i0:i1], 8 * blk, mod)
-        h = p[i0 + blk:i1 + blk] + (mod - a)
-        out[i0:i1] = _canon((h & mod) + (h >> c61), mod)
-    return out
+    return np.where(v >= mod, v - mod, v)
 
 
 def _extend_match(text: bytes, src: int, dst: int, start: int) -> int:
@@ -225,75 +142,49 @@ def _extend_match(text: bytes, src: int, dst: int, start: int) -> int:
         return k + lo
 
 
-def parse_bentley_mcilroy(text: bytes, block_size: int = DEFAULT_BLOCK_SIZE,
-                          base: int = DEFAULT_FP_BASE) -> Factorization:
-    """Approximate factorization from stored block fingerprints.
+def parse_bentley_mcilroy(text: bytes, block_size: int = DEFAULT_BLOCK_SIZE
+                          ) -> Factorization:
+    """Approximate factorization from stored block fingerprints
+    (Bentley and McIlroy, with Karp-Rabin fingerprints).
 
-    Fingerprints of the non-overlapping blocks at stride B are stored as
-    the scan passes them (first store wins on equal fingerprints).  At
+    The non-overlapping blocks at stride B are stored as the scan passes
+    their end, the first block stored winning on equal fingerprints.  At
     each position the fingerprint of the upcoming B bytes is looked up;
     a hit is verified by direct comparison and extended maximally
     forward.  Matches shorter than B never arise, unmatched bytes are
     emitted as literals.
 
-    Long inputs take every window fingerprint from one vectorized
-    precompute; short ones roll the hash inside the scan.  Both paths
-    produce the same canonical values, hence the same factorization.
+    Since blocks are stored in offset order, the block found at position
+    i is the first block with that fingerprint if it ends at or before i,
+    and none otherwise; one table of first occurrences serves the whole
+    scan.  Window fingerprints are computed only where the scan stands:
+    rolled across a literal, recomputed after a match.
     """
     if block_size < 2:
         raise ValueError("block size must be at least 2")
     n = len(text)
+    blk = block_size
+    fps, first = np.unique(_block_fingerprints(text, blk), return_index=True)
+    table = dict(zip(fps.tolist(), (first * blk).tolist()))
+    pow_top = pow(256, blk - 1, FP_MOD)
+    last = n - blk  # the last position with a full window
     phrases: list[Phrase] = []
-    if n == 0:
-        return Factorization(phrases, 0)
-    bulk = base == 256 and n >= BULK_FP_MIN and n >= block_size
-    table: dict[int, int] = {}
-    stored = 0  # blocks whose end lies at or before the scan position
     i = 0
-    if bulk:
-        window = _window_fingerprints(text, block_size)
-        while i < n:
-            while (stored + 1) * block_size <= i:
-                table.setdefault(int(window[stored * block_size]),
-                                 stored * block_size)
-                stored += 1
-            if i + block_size > n:
-                phrases.append(Phrase(text[i], 0))
-                i += 1
-                continue
-            src = table.get(int(window[i]))
-            if src is not None and text[src:src + block_size] == text[i:i + block_size]:
-                length = _extend_match(text, src, i, block_size)
-                phrases.append(Phrase(src + 1, length))
-                i += length
-            else:
-                phrases.append(Phrase(text[i], 0))
-                i += 1
-        return Factorization(phrases, n)
-
-    fps = _block_fingerprints(text, block_size, base)
-    pow_top = pow(base, block_size - 1, FP_MOD)
-    h = _fingerprint(text[:block_size], base) if n >= block_size else 0
-    while i < n:
-        while (stored + 1) * block_size <= i:
-            table.setdefault(fps[stored], stored * block_size)
-            stored += 1
-        if i + block_size > n:
-            phrases.append(Phrase(text[i], 0))
-            i += 1
-            continue
+    h = fingerprint(text[:blk])
+    while i <= last:
         src = table.get(h)
-        if src is not None and text[src:src + block_size] == text[i:i + block_size]:
-            length = _extend_match(text, src, i, block_size)
+        if (src is not None and src + blk <= i
+                and text[src:src + blk] == text[i:i + blk]):
+            length = _extend_match(text, src, i, blk)
             phrases.append(Phrase(src + 1, length))
             i += length
-            if i + block_size <= n:
-                h = _fingerprint(text[i:i + block_size], base)
+            h = fingerprint(text[i:i + blk])
         else:
-            phrases.append(Phrase(text[i], 0))
-            if i + 1 + block_size <= n:
-                h = ((h - text[i] * pow_top) * base + text[i + block_size]) % FP_MOD
+            phrases.append(_LITERALS[text[i]])
+            if i < last:
+                h = ((h - text[i] * pow_top) * 256 + text[i + blk]) % FP_MOD
             i += 1
+    phrases.extend(_LITERALS[byte] for byte in text[i:])
     return Factorization(phrases, n)
 
 

@@ -1,28 +1,32 @@
 """End-to-end compression pipeline and artifact verification.
 
 Five stages: approximate LZ parse, factorization to grammar, grammar to
-binary form, pruning, then grammar-level recompression.  Each stage is
-timed and its allocation peak recorded, so engine comparisons can be
-made without the input text buffer polluting the numbers.
+binary form, pruning, then grammar-level recompression; on request a
+sixth, verify, checks that the output expands back to the input.  Each
+stage is timed and its allocation peak recorded, so engine comparisons
+can be made without the input text buffer polluting the numbers.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import resource
 import time
 import tracemalloc
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .engine import recompress
 from .grammar import Grammar, encode_grammar, grammar_size, iter_expansion
-from .lz import encode_factorization, parse_bentley_mcilroy
+from .lz import (decode_factorization, encode_factorization,
+                 parse_bentley_mcilroy)
 from .partition import STRATEGIES
 from .slg import lz_to_slg, prune_slp, slg_to_slp
 
 STAGE_NAMES = ("parse_bm", "lz_to_slg", "slg_to_slp", "prune_slp",
-               "recompress")
+               "recompress", "verify")
 
 
 class PipelineError(RuntimeError):
@@ -131,11 +135,13 @@ def write_atomic(path: str | Path, data: bytes) -> None:
         raise
 
 
-def verify_expansion(g: Grammar, text: bytes) -> int | None:
-    """First mismatch offset between expand(g) and text, None if equal."""
+def _first_mismatch(chunks: Iterable[bytes], read: Callable[[int], bytes]
+                    ) -> int | None:
+    """First offset where the concatenated chunks and the stream that
+    read(k) consumes differ, None if they are equal."""
     off = 0
-    for chunk in iter_expansion(g):
-        want = text[off:off + len(chunk)]
+    for chunk in chunks:
+        want = read(len(chunk))
         if want != chunk:
             limit = min(len(want), len(chunk))
             for i in range(limit):
@@ -143,9 +149,14 @@ def verify_expansion(g: Grammar, text: bytes) -> int | None:
                     return off + i
             return off + limit
         off += len(chunk)
-    if off != len(text):
+    if read(1):
         return off
     return None
+
+
+def verify_expansion(g: Grammar, text: bytes) -> int | None:
+    """First mismatch offset between expand(g) and text, None if equal."""
+    return _first_mismatch(iter_expansion(g), io.BytesIO(text).read)
 
 
 def verify_files(grammar_path: str | Path, text_path: str | Path
@@ -154,20 +165,22 @@ def verify_files(grammar_path: str | Path, text_path: str | Path
     from .grammar import decode_grammar
 
     g = decode_grammar(Path(grammar_path).read_bytes())
-    off = 0
     with open(text_path, "rb") as fh:
-        for chunk in iter_expansion(g):
-            want = fh.read(len(chunk))
-            if want != chunk:
-                limit = min(len(want), len(chunk))
-                for i in range(limit):
-                    if chunk[i] != want[i]:
-                        return False, off + i
-                return False, off + limit
-            off += len(chunk)
-        if fh.read(1):
-            return False, off
-    return True, None
+        offset = _first_mismatch(iter_expansion(g), fh.read)
+    return offset is None, offset
+
+
+def _verify_stage(report: StatsReport, offset: Callable[[], int | None],
+                  profile: bool) -> None:
+    """The timed verify stage: offset() gives the first mismatch between
+    the stage's output and the input text, which must be None."""
+    def check() -> None:
+        found = offset()
+        if found is not None:
+            raise PipelineError(
+                "verify", f"expansion mismatch at offset {found}")
+
+    run_stage(report, "verify", check, profile=profile)
 
 
 def run_pipeline(input_path: str | Path, output_path: str | Path,
@@ -194,6 +207,9 @@ def run_pipeline(input_path: str | Path, output_path: str | Path,
                    profile=prof)
     report.counts["phrases"] = len(fz.phrases)
     if cfg.lz_only:
+        if cfg.verify:
+            _verify_stage(report, lambda: _first_mismatch(
+                [decode_factorization(fz)], io.BytesIO(text).read), prof)
         write_atomic(output_path, encode_factorization(fz))
         return report
     if cfg.keep_intermediates:
@@ -226,9 +242,7 @@ def run_pipeline(input_path: str | Path, output_path: str | Path,
     data = encode_grammar(result.grammar)
 
     if cfg.verify:
-        offset = verify_expansion(result.grammar, text)
-        if offset is not None:
-            raise PipelineError(
-                "verify", f"expansion mismatch at offset {offset}")
+        _verify_stage(report,
+                      lambda: verify_expansion(result.grammar, text), prof)
     write_atomic(output_path, data)
     return report

@@ -1,12 +1,15 @@
 """LZ77 parsers, decoder, stats, and the LZPF serialization."""
 
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mutated_text, random_text
+from rlslp.dataset import gen_dataset, load_sample
 from rlslp.grammar import FormatError
 from rlslp.lz import (Factorization, ParseError, Phrase,
                       decode_factorization, decode_factorization_bytes,
@@ -165,40 +168,106 @@ def test_exact_round_trip_property(t):
     assert decode_factorization(parse_exact_lz77(t)) == t
 
 
-def test_window_fingerprints_match_scalar_hash():
+def reference_parse(text: bytes, block_size: int) -> list[tuple[int, int]]:
+    """Bentley-McIlroy as literally specified, kept deliberately simple:
+    every window fingerprint computed from scratch, and each block
+    stored with setdefault once the scan has passed its end."""
+    def fp(chunk):
+        return int.from_bytes(chunk, "big") % (2**61 - 1)
+
+    n, blk = len(text), block_size
+    table: dict[int, int] = {}
+    stored = 0
+    out = []
+    i = 0
+    while i < n:
+        while (stored + 1) * blk <= i:
+            table.setdefault(fp(text[stored * blk:(stored + 1) * blk]),
+                             stored * blk)
+            stored += 1
+        src = table.get(fp(text[i:i + blk])) if i + blk <= n else None
+        if src is None or text[src:src + blk] != text[i:i + blk]:
+            out.append((text[i], 0))
+            i += 1
+            continue
+        length = blk
+        while i + length < n and text[src + length] == text[i + length]:
+            length += 1
+        out.append((src + 1, length))
+        i += length
+    return out
+
+
+def test_block_fingerprints_match_reference():
     from rlslp import lz
 
     rng = random.Random(77)
-    core = bytes(rng.choice(b"ACGT") for _ in range(4000))
-    texts = [
-        core * 20,                                      # 80000, repetitive
-        bytes(rng.getrandbits(8) for _ in range(70000)),
-        b"a" * 70000,
-    ]
-    # 61 makes the window multiplier degenerate to the identity rotation,
-    # 2047..2049 straddle the internal row width
+    # all-0xff words exercise the reduction of words above 2^61 - 1;
+    # block sizes cover every head length (B mod 8) and B < 8
+    texts = [bytes(rng.getrandbits(8) for _ in range(5000)),
+             b"\xff" * 5000]
     for t in texts:
-        for blk in (2, 20, 61, 500, 2047, 2048, 2049, 5000):
-            w = lz._window_fingerprints(t, blk)
-            assert len(w) == len(t) - blk + 1
-            offsets = {0, len(w) - 1} | {rng.randrange(len(w)) for _ in range(30)}
-            for i in offsets:
-                assert int(w[i]) == lz._fingerprint(t[i:i + blk], 256)
+        for blk in (*range(2, 19), 50, 61, 500, 2047, 2048, 2049):
+            fps = lz._block_fingerprints(t, blk)
+            assert len(fps) == len(t) // blk
+            assert fps.tolist() == [
+                lz.fingerprint(t[j:j + blk])
+                for j in range(0, len(fps) * blk, blk)]
 
 
-def test_bulk_and_rolling_paths_agree(monkeypatch):
-    from rlslp import lz
-
+def test_bm_matches_reference_parser():
     rng = random.Random(78)
     texts = [
         mutated_text(rng, base_len=3000, total_len=90000),
         bytes(rng.getrandbits(8) for _ in range(70000)),
+        b"a" * 80000,
     ]
+    # the block pass reads B mod 8 head bytes, then 64-bit words: these
+    # sizes give heads of 2, 0, 2, 5, 4, 7, 0 and 1 bytes
     for t in texts:
-        for blk in (8, 50, 500):
-            fast = parse_bentley_mcilroy(t, blk)
-            monkeypatch.setattr(lz, "BULK_FP_MIN", 1 << 60)
-            slow = parse_bentley_mcilroy(t, blk)
-            monkeypatch.undo()
-            assert fast.phrases == slow.phrases
-            assert decode_factorization(fast) == t
+        for blk in (2, 8, 50, 61, 500, 2047, 2048, 2049):
+            assert phrases(parse_bentley_mcilroy(t, blk)) == \
+                reference_parse(t, blk), blk
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(max_size=400),
+                 st.lists(st.integers(0, 2), max_size=400).map(bytes)),
+       st.sampled_from([2, 3, 5, 8, 9, 16, 64]))
+def test_bm_matches_reference_property(t, block_size):
+    # small alphabets make repeats, so matches and the rolled windows
+    # after literals are exercised
+    assert phrases(parse_bentley_mcilroy(t, block_size)) == \
+        reference_parse(t, block_size)
+
+
+@pytest.fixture(scope="module")
+def acceptance_corpus():
+    return gen_dataset(load_sample(), 4 << 20, mutation_rate=1e-5, seed=21)
+
+
+def test_bm_acceptance_corpus_phrases_frozen(acceptance_corpus):
+    # phrase list of the 4 MiB acceptance corpus at the default block
+    # size, pinned from the parser before the scan was rewritten
+    fz = parse_bentley_mcilroy(acceptance_corpus, 50)
+    h = hashlib.sha256()
+    for p in fz.phrases:
+        h.update(b"%d,%d;" % (p.pos, p.length))
+    assert len(fz.phrases) == 22136
+    assert sum(1 for p in fz.phrases if p.length == 0) == 21520
+    assert h.hexdigest() == ("f4754b582173cb710aa826c7ae7a5dff"
+                             "3ed96c75d8785b7fd52016fef434372e")
+
+
+def test_bm_parse_memory_bounded(acceptance_corpus):
+    # the parse keeps one fingerprint per stride block and a table of
+    # the distinct ones, not per-position arrays; the input is allocated
+    # before tracing starts and is not counted
+    tracemalloc.start()
+    try:
+        fz = parse_bentley_mcilroy(acceptance_corpus, 50)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert decode_factorization(fz) == acceptance_corpus
+    assert peak <= 2 * len(acceptance_corpus)

@@ -9,7 +9,8 @@ from rlslp import cli
 from rlslp.bench import COLUMNS, bench_to_tsv, run_bench
 from rlslp.dataset import gen_dataset, load_sample
 from rlslp.grammar import FormatError, decode_grammar, expand
-from rlslp.lz import decode_factorization, decode_factorization_bytes
+from rlslp.lz import (Factorization, Phrase, decode_factorization,
+                      decode_factorization_bytes)
 from rlslp.pipeline import (STAGE_NAMES, PipelineConfig, PipelineError,
                             run_pipeline, verify_expansion, verify_files,
                             write_atomic)
@@ -154,6 +155,52 @@ def test_run_pipeline_lz_only(tmp_path):
     fz = decode_factorization_bytes(out.read_bytes())
     assert decode_factorization(fz) == data
     assert report.counts["phrases"] == len(fz.phrases)
+
+
+def test_cli_lz_only_verify(tmp_path):
+    inp = tmp_path / "in.bin"
+    inp.write_bytes(b"abcabcabcabcxyzxyz")
+    out = tmp_path / "o.lzpf"
+    stats = tmp_path / "stats.tsv"
+    assert cli.main(["pipeline", str(inp), str(out), "--lz-only",
+                     "--verify", "--block-size", "3",
+                     "--stats-out", str(stats)]) == 0
+    fz = decode_factorization_bytes(out.read_bytes())
+    assert decode_factorization(fz) == inp.read_bytes()
+    assert any(p.length > 0 for p in fz.phrases)
+    assert "verify\tseconds\t" in stats.read_text()
+
+
+def test_lz_only_verify_rejects_wrong_parse(tmp_path, monkeypatch):
+    import rlslp.pipeline
+    inp = tmp_path / "in.bin"
+    inp.write_bytes(b"abcabcabcabcxyzxyz")
+    out = tmp_path / "o.lzpf"
+    # a valid factorization of the right length that spells "abcabcabcab"
+    # then the wrong byte at offset 11
+    wrong = Factorization([Phrase(ord(c), 0) for c in "abc"] + [Phrase(1, 8)]
+                          + [Phrase(ord(c), 0) for c in "Xxyzxyz"], 18)
+    monkeypatch.setattr(rlslp.pipeline, "parse_bentley_mcilroy",
+                        lambda text, block_size: wrong)
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(inp, out, PipelineConfig(lz_only=True, verify=True))
+    assert exc.value.stage == "verify"
+    assert "offset 11" in str(exc.value)
+    assert [p.name for p in tmp_path.iterdir()] == ["in.bin"]
+
+
+def test_verify_stage_rejects_wrong_expansion(tmp_path, monkeypatch):
+    import rlslp.pipeline
+    inp, data = _write_corpus(tmp_path, size=5000)
+    out = tmp_path / "g.slgf"
+    flipped = bytes([data[0] ^ 1]) + data[1:]
+    monkeypatch.setattr(rlslp.pipeline, "iter_expansion",
+                        lambda g: iter([flipped]))
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(inp, out, PipelineConfig(verify=True))
+    assert exc.value.stage == "verify"
+    assert "offset 0" in str(exc.value)
+    assert not out.exists()
 
 
 def test_run_pipeline_keep_intermediates(tmp_path):
