@@ -17,12 +17,12 @@ from .pipeline import PipelineConfig, StatsReport, run_pipeline, run_stage
 
 COLUMNS = (
     "dataset", "algorithm", "block_size", "strategy", "seed",
-    "input_bytes", "phrases", "slg_rules", "slp_rules", "pruned_rules",
+    "input_bytes", "phrases", "slg_rules", "pruned_rules",
     "productions", "grammar_size", "seconds_total",
-    "seconds_parse_bm", "seconds_lz_to_slg", "seconds_slg_to_slp",
-    "seconds_prune_slp", "seconds_recompress",
-    "alloc_parse_bm", "alloc_lz_to_slg", "alloc_slg_to_slp",
-    "alloc_prune_slp", "alloc_recompress",
+    "seconds_parse_bm", "seconds_lz_to_slg", "seconds_prune_slp",
+    "seconds_recompress",
+    "alloc_parse_bm", "alloc_lz_to_slg", "alloc_prune_slp",
+    "alloc_recompress",
 )
 
 

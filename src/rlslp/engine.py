@@ -32,7 +32,7 @@ from itertools import chain
 
 import numpy as np
 
-from .grammar import Grammar, GrammarError, SeqRule
+from .grammar import MAX_EXPANSION, Grammar, GrammarError, SeqRule
 from .partition import (ConvergenceError, PairMaps, Partition,
                         PartitionSource, RecompressResult, RlslpBuilder,
                         RoundRecord, replaced_weight, round_limit, sides_of)
@@ -210,7 +210,8 @@ class LevelGrammar:
         level string is the text either way.  Unreachable rules would
         otherwise shed dead productions into the output and shift fresh
         symbol ids away from what the reference engine assigns for the
-        same text.
+        same text.  A grammar whose text is longer than 2^63 - 1, which
+        the int64 level lengths cannot hold, is rejected.
         """
         rhss = [rule.rhs if isinstance(rule, SeqRule) else None
                 for rule in g.rules]
@@ -235,22 +236,32 @@ class LevelGrammar:
         ent = ent[_entries_of(ptr, kept)]
         ent = np.where(ent > 0, remap[np.maximum(ent, 0)], ent)
         layers = [0] + _starts(height[kept])[1:].tolist() + [len(kept)]
-        return cls(np.concatenate(([0], np.cumsum(lens[kept - 1]))), ent,
-                   layers)
+        lg = cls(np.concatenate(([0], np.cumsum(lens[kept - 1]))), ent,
+                 layers)
+        # float lengths are close enough to clear all but near-limit
+        # texts, which are summed again in Python integers
+        if (lg._lengths(np.float64)[-1] >= 2.0 ** 62
+                and lg._lengths(object)[-1] > MAX_EXPANSION):
+            raise GrammarError("expansion length of the start rule "
+                               "exceeds 2^63-1")
+        return lg
 
     def level_lengths(self) -> tuple[np.ndarray, int]:
         """Per-rule expansion length in level symbols, plus total rhs size."""
+        return self._lengths(np.int64), len(self.ent)
+
+    def _lengths(self, dtype) -> np.ndarray:
         ent, ptr = self.ent, self.ptr
         # lengths by entry + off: the encoded level symbols -off..-1 come
         # first, with length 1, then rule j at off + j
         off = -int(ent.min())
-        lengths = np.zeros(off + len(self) + 1, dtype=np.int64)
+        lengths = np.zeros(off + len(self) + 1, dtype=dtype)
         lengths[:off] = 1
         at = ent + off
         for lo, hi, a, b in self.sweep():
             lengths[off + lo + 1:off + hi + 1] = np.add.reduceat(
                 lengths[at[a:b]], ptr[lo:hi] - a)
-        return lengths[off:], len(ent)
+        return lengths[off:]
 
     def flattened(self) -> "LevelGrammar":
         """The level string as a grammar of one rule."""

@@ -1,10 +1,10 @@
 """End-to-end compression pipeline and artifact verification.
 
-Five stages: approximate LZ parse, factorization to grammar, grammar to
-binary form, pruning, then grammar-level recompression; on request a
-sixth, verify, checks that the output expands back to the input.  Each
-stage is timed and its allocation peak recorded, so engine comparisons
-can be made without the input text buffer polluting the numbers.
+Four stages: approximate LZ parse, factorization to grammar, pruning,
+then grammar-level recompression; on request a fifth, verify, checks
+that the output expands back to the input.  Each stage is timed and its
+allocation peak recorded, so engine comparisons can be made without the
+input text buffer polluting the numbers.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from .grammar import Grammar, encode_grammar, grammar_size, iter_expansion
 from .lz import (decode_factorization, encode_factorization,
                  parse_bentley_mcilroy)
 from .partition import STRATEGIES
-from .slg import lz_to_slg, prune_slp, slg_to_slp
+from .slg import lz_to_slg, prune_slp
 
-STAGE_NAMES = ("parse_bm", "lz_to_slg", "slg_to_slp", "prune_slp",
-               "recompress", "verify")
+STAGE_NAMES = ("parse_bm", "lz_to_slg", "prune_slp", "recompress", "verify")
 
 
 class PipelineError(RuntimeError):
@@ -221,13 +220,7 @@ def run_pipeline(input_path: str | Path, output_path: str | Path,
     if cfg.keep_intermediates:
         write_atomic(str(output_path) + ".slg", encode_grammar(slg))
 
-    slp = run_stage(report, "slg_to_slp", lambda: slg_to_slp(slg),
-                    profile=prof)
-    report.counts["slp_rules"] = len(slp.rules)
-    if cfg.keep_intermediates:
-        write_atomic(str(output_path) + ".slp", encode_grammar(slp))
-
-    pruned = run_stage(report, "prune_slp", lambda: prune_slp(slp),
+    pruned = run_stage(report, "prune_slp", lambda: prune_slp(slg),
                        profile=prof)
     report.counts["pruned_rules"] = len(pruned.rules)
     if cfg.keep_intermediates:

@@ -2,14 +2,30 @@
 
 lz_to_slg turns an LZ factorization into a straight-line grammar by
 keeping a height-balanced concatenation tree over the processed prefix;
-every phrase is materialized from O(log n) existing nodes.  slg_to_slp
-binarizes wide rules, prune_slp removes dead, chain and duplicate rules.
+every phrase is materialized from O(log n) existing nodes, and only the
+rules reachable from the final root are emitted.  slg_to_slp binarizes
+wide rules, prune_slp removes dead, chain and duplicate rules.
 """
 
 from __future__ import annotations
 
-from .grammar import Grammar, RunRule, SeqRule, term
+from bisect import bisect_right
+from itertools import repeat
+from operator import attrgetter
+
+import numpy as np
+
+from .engine import _reachable
+from .grammar import (MAX_ALPHABET, MAX_EXPANSION, Grammar, GrammarError,
+                      RunRule, SeqRule)
 from .lz import Factorization, ParseError
+
+# symbol x is stored at index x + _T of the builder's lists: terminals
+# -256..-1 at 0..255, rule r at 256 + r
+_T = MAX_ALPHABET
+# a pair of symbols (a, b) is keyed as (a + _T) << _KEY | (b + _T)
+_KEY = 32
+_LOW = (1 << _KEY) - 1
 
 
 class _Builder:
@@ -17,87 +33,107 @@ class _Builder:
 
     Nodes are symbol ids: negative terminals (height 0, length 1) or
     1-based rule ids.  Joins keep the AVL criterion, sibling heights
-    differ by at most one, so node height stays O(log length).
+    differ by at most one, so node height stays O(log length).  Children,
+    heights and lengths are flat lists indexed by node + 256, terminals
+    included, so no lookup needs a branch.
     """
 
     def __init__(self) -> None:
-        self.rules: list[tuple[int, int]] = []
-        self.dedup: dict[tuple[int, int], int] = {}
-        self.heights: list[int] = [0]  # index 0 unused
-        self.lengths: list[int] = [0]
-
-    def height(self, x: int) -> int:
-        return 0 if x < 0 else self.heights[x]
-
-    def length(self, x: int) -> int:
-        return 1 if x < 0 else self.lengths[x]
-
-    def children(self, x: int) -> tuple[int, int]:
-        return self.rules[x - 1]
+        self.left = [0] * (_T + 1)
+        self.right = [0] * (_T + 1)
+        self.height = [0] * (_T + 1)
+        self.length = [1] * _T + [0]
+        self.dedup: dict[int, int] = {}
 
     def node(self, a: int, b: int) -> int:
-        key = (a, b)
+        key = (a + _T) << _KEY | (b + _T)
         found = self.dedup.get(key)
         if found is not None:
             return found
-        self.rules.append(key)
-        rid = len(self.rules)
+        left = self.left
+        rid = len(left) - _T
         self.dedup[key] = rid
-        self.heights.append(1 + max(self.height(a), self.height(b)))
-        self.lengths.append(self.length(a) + self.length(b))
+        left.append(a)
+        self.right.append(b)
+        h = self.height
+        ha, hb = h[a + _T], h[b + _T]
+        h.append((ha if ha > hb else hb) + 1)
+        n = self.length
+        n.append(n[a + _T] + n[b + _T])
         return rid
 
     def join(self, a: int, b: int) -> int:
-        ha, hb = self.height(a), self.height(b)
-        if abs(ha - hb) <= 1:
-            return self.node(a, b)
-        return self._join_right(a, b) if ha > hb else self._join_left(a, b)
+        h = self.height
+        ha, hb = h[a + _T], h[b + _T]
+        if ha > hb + 1:
+            return self._join_right(a, b)
+        if hb > ha + 1:
+            return self._join_left(a, b)
+        return self.node(a, b)
 
     def _join_right(self, a: int, b: int) -> int:
-        # pre: height(a) >= height(b) + 2, so a is an internal node
-        al, ar = self.children(a)
-        if self.height(ar) <= self.height(b) + 1:
-            t = self.node(ar, b)
-            if self.height(t) <= self.height(al) + 1:
-                return self.node(al, t)
-            arl, arr = self.children(ar)
-            return self.node(self.node(al, arl), self.node(arr, b))
-        t = self._join_right(ar, b)
-        if self.height(t) <= self.height(al) + 1:
-            return self.node(al, t)
-        tl, tr = self.children(t)
-        return self.node(self.node(al, tl), tr)
+        # pre: height(a) >= height(b) + 2, so a is an internal node.
+        # Descend a's right spine to the first node whose right child is
+        # low enough, attach b there, and rebalance on the way back up.
+        h, left, right, node = self.height, self.left, self.right, self.node
+        top = h[b + _T] + 1
+        path = []
+        while h[right[a + _T] + _T] > top:
+            path.append(left[a + _T])
+            a = right[a + _T]
+        al, ar = left[a + _T], right[a + _T]
+        t = node(ar, b)
+        if h[t + _T] <= h[al + _T] + 1:
+            t = node(al, t)
+        else:
+            t = node(node(al, left[ar + _T]), node(right[ar + _T], b))
+        while path:
+            al = path.pop()
+            if h[t + _T] <= h[al + _T] + 1:
+                t = node(al, t)
+            else:
+                t = node(node(al, left[t + _T]), right[t + _T])
+        return t
 
     def _join_left(self, a: int, b: int) -> int:
-        bl, br = self.children(b)
-        if self.height(bl) <= self.height(a) + 1:
-            t = self.node(a, bl)
-            if self.height(t) <= self.height(br) + 1:
-                return self.node(t, br)
-            bll, blr = self.children(bl)
-            return self.node(self.node(a, bll), self.node(blr, br))
-        t = self._join_left(a, bl)
-        if self.height(t) <= self.height(br) + 1:
-            return self.node(t, br)
-        tl, tr = self.children(t)
-        return self.node(tl, self.node(tr, br))
+        # mirror image of _join_right: descend b's left spine
+        h, left, right, node = self.height, self.left, self.right, self.node
+        top = h[a + _T] + 1
+        path = []
+        while h[left[b + _T] + _T] > top:
+            path.append(right[b + _T])
+            b = left[b + _T]
+        bl, br = left[b + _T], right[b + _T]
+        t = node(a, bl)
+        if h[t + _T] <= h[br + _T] + 1:
+            t = node(t, br)
+        else:
+            t = node(node(a, left[bl + _T]), node(right[bl + _T], br))
+        while path:
+            br = path.pop()
+            if h[t + _T] <= h[br + _T] + 1:
+                t = node(t, br)
+            else:
+                t = node(left[t + _T], node(right[t + _T], br))
+        return t
 
     def extract(self, x: int, lo: int, hi: int) -> int:
         """Node expanding to positions [lo, hi) of x's expansion."""
+        n, left, right = self.length, self.left, self.right
         while True:
-            if lo == 0 and hi == self.length(x):
+            if lo == 0 and hi == n[x + _T]:
                 return x
-            a, b = self.children(x)
-            left = self.length(a)
-            if hi <= left:
+            a, b = left[x + _T], right[x + _T]
+            mid = n[a + _T]
+            if hi <= mid:
                 x = a
-            elif lo >= left:
+            elif lo >= mid:
                 x = b
-                lo -= left
-                hi -= left
+                lo -= mid
+                hi -= mid
             else:
-                return self.join(self.extract(a, lo, left),
-                                 self.extract(b, 0, hi - left))
+                return self.join(self.extract(a, lo, mid),
+                                 self.extract(b, 0, hi - mid))
 
     def power(self, x: int, q: int) -> int:
         """Concatenation of q >= 1 copies of x, by binary decomposition."""
@@ -111,64 +147,275 @@ class _Builder:
                 base = self.join(base, base)
         return result
 
+    def nodes(self, a: np.ndarray, b: np.ndarray, height: int) -> np.ndarray:
+        """node(a[i], b[i]) for every i, all of the given height and with
+        children of equal height: one np.unique over the packed pairs."""
+        keys, inv = np.unique((a + _T) << _KEY | (b + _T),
+                              return_inverse=True)
+        ids = np.fromiter(map(self.dedup.get, keys.tolist(), repeat(0)),
+                          dtype=np.int64, count=len(keys))
+        new = np.flatnonzero(ids == 0)
+        if len(new):
+            ids[new] = np.arange(len(self.left) - _T,
+                                 len(self.left) - _T + len(new))
+            fresh = keys[new]
+            self.dedup.update(zip(fresh.tolist(), ids[new].tolist()))
+            self.left.extend(((fresh >> _KEY) - _T).tolist())
+            self.right.extend(((fresh & _LOW) - _T).tolist())
+            self.height.extend(repeat(height, len(new)))
+            self.length.extend(repeat(1 << height, len(new)))
+        return ids[inv]
+
+    def literal_runs(self, leaves: np.ndarray, counts: np.ndarray
+                     ) -> list[int]:
+        """Tree of each run of literals, for runs of counts[r] leaves laid
+        end to end in leaves.
+
+        Pairing neighbours level by level, with an odd last item carried
+        up, makes of a run of k leaves the perfect blocks given by the
+        binary digits of k, largest first, joined right to left.  The
+        blocks of every run are built together, one level at a time; the
+        block of size 2^j is a run's last full group of level j.
+        """
+        runs, blocks = [], []
+        cur, cnt = leaves, counts
+        height = 0
+        while True:
+            ends = np.cumsum(cnt)
+            odd = np.flatnonzero(cnt & 1)
+            runs.append(odd)
+            blocks.append(cur[ends[odd] - 1])
+            half = cnt >> 1
+            if not half.any():
+                break
+            # without the odd last entries, each run pairs up neighbours
+            keep = np.ones(len(cur), dtype=bool)
+            keep[ends[odd] - 1] = False
+            pairs = cur[keep].reshape(-1, 2)
+            height += 1
+            cur = self.nodes(pairs[:, 0], pairs[:, 1], height)
+            cnt = half
+        # per run, smallest block first: each larger one joins on the left
+        runs = np.concatenate(runs)
+        order = np.argsort(runs, kind="stable")
+        trees = [0] * len(counts)
+        for r, x in zip(runs[order].tolist(),
+                        np.concatenate(blocks)[order].tolist()):
+            t = trees[r]
+            trees[r] = x if t == 0 else self.join(x, t)
+        return trees
+
+    def live_grammar(self, root: int) -> Grammar:
+        """The rules reachable from root, renumbered in creation order;
+        root, made after all of them, comes last."""
+        if root < 0:
+            return Grammar([SeqRule((root,))])
+        m = len(self.left) - _T - 1
+        ent = np.empty(2 * m, dtype=np.int64)
+        ent[0::2] = self.left[_T + 1:]
+        ent[1::2] = self.right[_T + 1:]
+        alive = _reachable(np.arange(0, 2 * m + 1, 2), ent, root)
+        new = np.cumsum(alive)
+        at = 2 * np.flatnonzero(alive) - 2
+        kids = ent[np.concatenate((at, at + 1))]
+        kids = np.where(kids > 0, new[np.maximum(kids, 0)], kids).tolist()
+        return Grammar([SeqRule(rhs) for rhs in zip(kids[:len(at)],
+                                                    kids[len(at):])])
+
+
+class _Root:
+    """The concatenation tree of the text so far, appended to by AVL joins.
+
+    The tree is kept as its right spine: root = s_0 with s_i =
+    spine[i] . s_{i+1} for every level but the last, and s_k = spine[k].
+    Every spine[i] is a node, starts[i] is its offset in the text and
+    hts[i] is the height of s_i.  The suffix trees s_i are nodes only
+    once something needs them whole (collapse); an append rebuilds the
+    spine below the join point and rebalances upwards exactly as
+    _Builder.join would, but the spine nodes above, which the next
+    append would replace again, are never made.
+    """
+
+    def __init__(self, b: _Builder) -> None:
+        self.b = b
+        self.spine: list[int] = []
+        self.starts: list[int] = []
+        self.hts: list[int] = []
+        self.total = 0
+
+    def collapse(self, i: int) -> int:
+        """s_i as a node; the levels from i down become that one node."""
+        spine, node = self.spine, self.b.node
+        t = spine[-1]
+        for j in range(len(spine) - 2, i - 1, -1):
+            t = node(spine[j], t)
+        spine[i] = t
+        del spine[i + 1:], self.starts[i + 1:], self.hts[i + 1:]
+        return t
+
+    def append(self, x: int) -> None:
+        """root = join(root, x)."""
+        b = self.b
+        h = b.height
+        hx = h[x + _T]
+        spine, hts = self.spine, self.hts
+        if not spine:
+            spine.append(x)
+            self.starts.append(0)
+            hts.append(hx)
+        elif hts[0] > hx + 1:
+            self._attach(x, hx)
+        elif hx > hts[0] + 1:
+            t = b._join_left(self.collapse(0), x)
+            spine[0] = t
+            hts[0] = h[t + _T]
+        else:
+            # root . x is balanced as it stands
+            self.collapse(0)
+            spine.append(x)
+            self.starts.append(self.total)
+            hts[0] = (hts[0] if hts[0] > hx else hx) + 1
+            hts.append(hx)
+        self.total += b.length[x + _T]
+
+    def _attach(self, x: int, hx: int) -> None:
+        # _Builder._join_right(root, x) on the spine: x goes below the
+        # deepest level i taller than hx + 1, whose right subtree s_{i+1}
+        # must be a node
+        b = self.b
+        h, left, right, n, node = b.height, b.left, b.right, b.length, b.node
+        spine, starts, hts = self.spine, self.starts, self.hts
+        top = hx + 1
+        k = len(spine) - 1
+        if hts[k] > top:
+            # descend the last node's right spine, which exists
+            y = spine[k]
+            while hts[-1] > top:
+                spine[-1] = left[y + _T]
+                y = right[y + _T]
+                starts.append(starts[-1] + n[spine[-1] + _T])
+                spine.append(y)
+                hts.append(h[y + _T])
+            i = len(spine) - 2
+        else:
+            i = k - 1
+            while hts[i] <= top:
+                i -= 1
+            if i + 1 < k:
+                self.collapse(i + 1)
+        al, ar = spine[i], spine[i + 1]
+        ha, har = h[al + _T], h[ar + _T]
+        ht = (har if har > hx else hx) + 1
+        if ht > ha + 1:
+            # (al . ar.left) . (ar.right . x)
+            al = spine[i] = node(al, left[ar + _T])
+            ar = spine[i + 1] = right[ar + _T]
+            starts[i + 1] = starts[i] + n[al + _T]
+            ha, har = h[al + _T], h[ar + _T]
+            ht = (har if har > hx else hx) + 1
+        hts[i + 1] = ht
+        hts[i] = (ha if ha > ht else ht) + 1
+        spine.append(x)
+        starts.append(self.total)
+        hts.append(hx)
+        # rebalance upwards until a level keeps its height
+        for j in range(i - 1, -1, -1):
+            al, ht = spine[j], hts[j + 1]
+            ha = h[al + _T]
+            if ht > ha + 1:
+                # (al . s_{j+1}.left) . s_{j+1}.right: levels j, j+1 merge
+                al = spine[j] = node(al, spine[j + 1])
+                del spine[j + 1], starts[j + 1], hts[j + 1]
+                ha, ht = h[al + _T], hts[j + 1]
+            elif (ha if ha > ht else ht) + 1 == hts[j]:
+                break
+            hts[j] = (ha if ha > ht else ht) + 1
+
+    def extract(self, lo: int, hi: int) -> int:
+        """Node expanding to positions [lo, hi) of the text so far."""
+        return self._extract(bisect_right(self.starts, lo) - 1, lo, hi)
+
+    def _extract(self, i: int, lo: int, hi: int) -> int:
+        # pre: starts[i] <= lo < starts[i + 1]
+        spine, starts = self.spine, self.starts
+        start = starts[i]
+        if i == len(spine) - 1 or hi <= starts[i + 1]:
+            return self.b.extract(spine[i], lo - start, hi - start)
+        if lo == start and hi == self.total:
+            return self.collapse(i)
+        end = starts[i + 1]
+        return self.b.join(self.b.extract(spine[i], lo - start, end - start),
+                           self._extract(i + 1, end, hi))
+
+
+def _field(phrases: list, name: str) -> np.ndarray:
+    """One field of every phrase as int64.  A value beyond int64 is
+    clamped: it stays outside every range a phrase check accepts."""
+    try:
+        return np.fromiter(map(attrgetter(name), phrases), dtype=np.int64,
+                           count=len(phrases))
+    except OverflowError:
+        return np.fromiter((min(max(v, -2**63), 2**63 - 1)
+                            for v in map(attrgetter(name), phrases)),
+                           dtype=np.int64, count=len(phrases))
+
 
 def lz_to_slg(fz: Factorization) -> Grammar:
-    """Straight-line grammar (binary rules) expanding to the parsed text."""
+    """Straight-line grammar (binary rules) expanding to the parsed text.
+
+    Phrases are appended to one AVL concatenation tree (Rytter, TCS
+    2003), each maximal run of literals as one balanced tree built in
+    bulk.  Only the rules reachable from the final root are returned, so
+    the grammar has no dead rules, chains or duplicate right-hand sides.
+    """
+    phrases = fz.phrases
+    sources = _field(phrases, "pos")
+    lit = _field(phrases, "length") == 0
+    # phrases before the first bad literal are still checked in order
+    bad = np.flatnonzero(lit & ((sources < 0) | (sources > 255)))
+    stop = int(bad[0]) if len(bad) else len(phrases)
+    lit = lit[:stop]
+    head = lit & ~np.concatenate(([False], lit[:-1]))
+    tail = lit & ~np.concatenate((lit[1:], [False]))
+    counts = np.flatnonzero(tail) - np.flatnonzero(head) + 1
     b = _Builder()
-    root: int | None = None
-    pos = 0
-    pending: list[int] = []
-
-    def append(node: int) -> None:
-        nonlocal root, pos
-        root = node if root is None else b.join(root, node)
-        pos += b.length(node)
-
-    def flush() -> None:
-        # batch buffered literals: pairwise joins of equal-height trees
-        # are O(1) each, against O(log n) per plain root join
-        nodes = pending
-        while len(nodes) > 1:
-            merged = [b.join(nodes[i], nodes[i + 1])
-                      for i in range(0, len(nodes) - 1, 2)]
-            if len(nodes) % 2:
-                merged.append(nodes[-1])
-            nodes = merged
-        if nodes:
-            append(nodes[0])
-        pending.clear()
-
-    for idx, ph in enumerate(fz.phrases):
-        if ph.length == 0:
-            if not 0 <= ph.pos <= 255:
-                raise ParseError(f"phrase {idx + 1}: literal {ph.pos} out of range")
-            pending.append(term(ph.pos))
+    runs = iter(b.literal_runs(-1 - sources[:stop][lit], counts))
+    root = _Root(b)
+    for idx in np.flatnonzero(head | ~lit).tolist():
+        ph = phrases[idx]
+        src, length = ph.pos, ph.length
+        if length == 0:
+            root.append(next(runs))
             continue
-        flush()
-        if ph.pos < 1 or ph.pos > pos:
-            raise ParseError(f"phrase {idx + 1}: source {ph.pos} beyond prefix")
-        src = ph.pos - 1
+        pos = root.total
+        if length < 0:
+            raise ParseError(f"phrase {idx + 1}: negative length {length}")
+        if src < 1 or src > pos:
+            raise ParseError(f"phrase {idx + 1}: source {src} beyond prefix")
+        src -= 1
         window = pos - src
-        if ph.length <= window:
-            append(b.extract(root, src, src + ph.length))
-            continue
-        # overlapping phrase: the content is periodic with period `window`
-        period = b.extract(root, src, src + window)
-        reps, tail = divmod(ph.length, window)
-        append(b.power(period, reps))
-        if tail:
-            append(b.extract(root, src, src + tail))
-    flush()
+        if length <= window:
+            root.append(root.extract(src, src + length))
+        else:
+            # overlapping phrase: the content is periodic with period
+            # `window`
+            period = root.extract(src, pos)
+            reps, rest = divmod(length, window)
+            root.append(b.power(period, reps))
+            if rest:
+                root.append(root.extract(src, src + rest))
+    pos = root.total
+    if stop < len(phrases):
+        raise ParseError(f"phrase {stop + 1}: literal "
+                         f"{phrases[stop].pos} out of range")
     if pos != fz.text_length:
         raise ParseError(f"phrases expand to {pos} bytes, "
                          f"header promised {fz.text_length}")
-
-    if root is None:
+    if pos > MAX_EXPANSION:
+        raise ParseError(f"text of {pos} bytes exceeds 2^63-1")
+    if not root.spine:
         return Grammar([])
-    rules: list[SeqRule] = [SeqRule(rhs) for rhs in b.rules]
-    if root < 0 or root != len(rules):
-        rules.append(SeqRule((root,)))
-    return Grammar(rules)
+    return b.live_grammar(root.collapse(0))
 
 
 def slg_to_slp(g: Grammar) -> Grammar:
@@ -194,47 +441,52 @@ def slg_to_slp(g: Grammar) -> Grammar:
 def prune_slp(g: Grammar) -> Grammar:
     """Drop unreachable rules, collapse unary chains, merge equal rhs.
 
-    Idempotent: a second application returns an identical grammar.
+    Idempotent: a second application returns an identical grammar, and a
+    grammar that needs no change comes back with the same rule objects.
     """
-    if not g.rules:
+    rules = g.rules
+    if not rules:
         return Grammar([], g.alphabet_size)
-    m = len(g.rules)
-    # reachability first, so consing never touches dead rules
-    alive = [False] * (m + 1)
-    alive[m] = True
+    m = len(rules)
+    # reachability top down, one rule at a time: a numpy sweep would take
+    # a step per grammar level, and a left comb has one level per rule
+    alive = bytearray(m + 1)
+    alive[m] = 1
     for j in range(m, 0, -1):
-        if not alive[j]:
-            continue
-        rule = g.rules[j - 1]
-        refs = (rule.base,) if isinstance(rule, RunRule) else rule.rhs
-        for s in refs:
-            if s > 0:
-                alive[s] = True
-    remap: list[int] = [0] * (m + 1)
+        if alive[j]:
+            rule = rules[j - 1]
+            for s in rule.rhs if isinstance(rule, SeqRule) else (rule.base,):
+                if s > 0:
+                    alive[s] = 1
+                elif s < -MAX_ALPHABET:
+                    raise GrammarError(f"rule {j}: terminal {s} is not a byte")
+    # new id of every rule; the last 256 slots give each terminal itself
+    remap = [0] * (m + 1) + list(range(-MAX_ALPHABET, 0))
+    get = remap.__getitem__
     consed: list[SeqRule | RunRule] = []
     seen: dict = {}
-    for i in range(1, m + 1):
+    for i, rule in enumerate(rules, start=1):
         if not alive[i]:
             continue
-        rule = g.rules[i - 1]
-        if isinstance(rule, RunRule):
-            base = rule.base if rule.base < 0 else remap[rule.base]
-            key = ("r", base, rule.exponent)
-            new_rule: SeqRule | RunRule = RunRule(base, rule.exponent)
-        else:
-            rhs = tuple(s if s < 0 else remap[s] for s in rule.rhs)
+        if isinstance(rule, SeqRule):
+            rhs = tuple(map(get, rule.rhs))
             if len(rhs) == 1 and rhs[0] > 0:
                 remap[i] = rhs[0]
                 continue
-            key = ("s", rhs)
-            new_rule = SeqRule(rhs)
+            key = rhs
+            if rhs != rule.rhs:
+                rule = SeqRule(rhs)
+        else:
+            base = get(rule.base)
+            if base != rule.base:
+                rule = RunRule(base, rule.exponent)
+            key = rule
         found = seen.get(key)
         if found is not None:
             remap[i] = found
             continue
-        consed.append(new_rule)
-        remap[i] = len(consed)
-        seen[key] = len(consed)
+        consed.append(rule)
+        remap[i] = seen[key] = len(consed)
     # collapsing or deduplicating the start rule cannot leave later
     # rules behind: everything it references was consed before it
     del consed[remap[m]:]

@@ -8,9 +8,10 @@ import pytest
 from rlslp import cli
 from rlslp.bench import COLUMNS, bench_to_tsv, run_bench
 from rlslp.dataset import gen_dataset, load_sample
-from rlslp.grammar import FormatError, decode_grammar, expand
+from rlslp.grammar import (FormatError, Grammar, RunRule, SeqRule,
+                           decode_grammar, encode_grammar, expand)
 from rlslp.lz import (Factorization, Phrase, decode_factorization,
-                      decode_factorization_bytes)
+                      decode_factorization_bytes, encode_factorization)
 from rlslp.pipeline import (STAGE_NAMES, PipelineConfig, PipelineError,
                             run_pipeline, verify_expansion, verify_files,
                             write_atomic)
@@ -207,9 +208,11 @@ def test_run_pipeline_keep_intermediates(tmp_path):
     inp, data = _write_corpus(tmp_path, size=10000)
     out = tmp_path / "g.slgf"
     run_pipeline(inp, out, PipelineConfig(keep_intermediates=True))
-    for suffix in (".lzpf", ".slg", ".slp", ".pruned"):
+    for suffix in (".lzpf", ".slg", ".pruned"):
         assert (tmp_path / ("g.slgf" + suffix)).exists()
-    for suffix in (".slg", ".slp", ".pruned"):
+    # lz_to_slg output is already an SLP, so there is no binarized copy
+    assert not (tmp_path / "g.slgf.slp").exists()
+    for suffix in (".slg", ".pruned"):
         g = decode_grammar((tmp_path / ("g.slgf" + suffix)).read_bytes())
         assert expand(g) == data
 
@@ -299,6 +302,24 @@ def test_cli_error_paths(tmp_path, capsys):
     assert cli.main(["gen-dataset", str(tmp_path / "d"), "--target-size",
                      "10", "--mutation-rate", "7"]) == 1
     capsys.readouterr()
+
+
+def test_cli_rejects_oversized_expansions(tmp_path, capsys):
+    # a two-phrase parse of a 2^63-byte text, and a grammar of one
+    lz, slg = tmp_path / "big.lzpf", tmp_path / "big.slg"
+    lz.write_bytes(encode_factorization(
+        Factorization([Phrase(ord("a"), 0), Phrase(1, 2**63 - 1)], 2**63)))
+    assert cli.main(["lz-to-slg", str(lz), str(slg)]) == 1
+    err = capsys.readouterr().err
+    assert "error: [lz-to-slg]" in err and "2^63-1" in err
+    assert not slg.exists()
+    slg.write_bytes(encode_grammar(
+        Grammar([SeqRule((-98, -98)), RunRule(1, 2**62)])))
+    out = tmp_path / "big.slgf"
+    assert cli.main(["recompress", str(slg), str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: [recompress]" in err and "2^63-1" in err
+    assert not out.exists()
 
 
 def test_cli_recompress_accepts_pipeline_output(tmp_path):

@@ -1,17 +1,188 @@
 """Factorization-to-grammar conversion, binarization, pruning."""
 
+import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mutated_text, random_seq_grammar, random_text
-from rlslp.grammar import Grammar, RunRule, SeqRule, expand, validate
-from rlslp.lz import (Factorization, ParseError, Phrase,
+from rlslp.dataset import gen_dataset, load_sample
+from rlslp.grammar import (Grammar, GrammarError, RunRule, SeqRule, expand,
+                           term, validate)
+from rlslp.lz import (FP_MOD, Factorization, ParseError, Phrase,
                       parse_bentley_mcilroy, parse_exact_lz77)
-from rlslp.slg import lz_to_slg, prune_slp, slg_to_slp
+from rlslp.slg import _Builder, lz_to_slg, prune_slp, slg_to_slp
+
+
+class EagerBuilder:
+    """Reference for lz_to_slg: the plain recursive AVL joins, a root
+    that every append rebuilds, and literals flushed pairwise."""
+
+    def __init__(self) -> None:
+        self.rules: list[tuple[int, int]] = []
+        self.ids: dict[tuple[int, int], int] = {}
+        self.heights = [0]
+        self.lengths = [0]
+
+    def height(self, x: int) -> int:
+        return 0 if x < 0 else self.heights[x]
+
+    def length(self, x: int) -> int:
+        return 1 if x < 0 else self.lengths[x]
+
+    def node(self, a: int, b: int) -> int:
+        if (a, b) not in self.ids:
+            self.rules.append((a, b))
+            self.ids[a, b] = len(self.rules)
+            self.heights.append(1 + max(self.height(a), self.height(b)))
+            self.lengths.append(self.length(a) + self.length(b))
+        return self.ids[a, b]
+
+    def join(self, a: int, b: int) -> int:
+        if self.height(a) > self.height(b) + 1:
+            return self.join_right(a, b)
+        if self.height(b) > self.height(a) + 1:
+            return self.join_left(a, b)
+        return self.node(a, b)
+
+    def join_right(self, a: int, b: int) -> int:
+        al, ar = self.rules[a - 1]
+        if self.height(ar) <= self.height(b) + 1:
+            t = self.node(ar, b)
+            if self.height(t) <= self.height(al) + 1:
+                return self.node(al, t)
+            arl, arr = self.rules[ar - 1]
+            return self.node(self.node(al, arl), self.node(arr, b))
+        t = self.join_right(ar, b)
+        if self.height(t) <= self.height(al) + 1:
+            return self.node(al, t)
+        tl, tr = self.rules[t - 1]
+        return self.node(self.node(al, tl), tr)
+
+    def join_left(self, a: int, b: int) -> int:
+        bl, br = self.rules[b - 1]
+        if self.height(bl) <= self.height(a) + 1:
+            t = self.node(a, bl)
+            if self.height(t) <= self.height(br) + 1:
+                return self.node(t, br)
+            bll, blr = self.rules[bl - 1]
+            return self.node(self.node(a, bll), self.node(blr, br))
+        t = self.join_left(a, bl)
+        if self.height(t) <= self.height(br) + 1:
+            return self.node(t, br)
+        tl, tr = self.rules[t - 1]
+        return self.node(tl, self.node(tr, br))
+
+    def extract(self, x: int, lo: int, hi: int) -> int:
+        if lo == 0 and hi == self.length(x):
+            return x
+        a, b = self.rules[x - 1]
+        mid = self.length(a)
+        if hi <= mid:
+            return self.extract(a, lo, hi)
+        if lo >= mid:
+            return self.extract(b, lo - mid, hi - mid)
+        return self.join(self.extract(a, lo, mid),
+                         self.extract(b, 0, hi - mid))
+
+    def power(self, x: int, q: int) -> int:
+        result, base = None, x
+        while q:
+            if q & 1:
+                result = base if result is None else self.join(result, base)
+            q >>= 1
+            if q:
+                base = self.join(base, base)
+        return result
+
+
+def pairwise_flush(join, leaves: list[int]) -> int:
+    """One tree of the leaves: neighbours joined pairwise, level by
+    level, an odd last item carried up."""
+    nodes = list(leaves)
+    while len(nodes) > 1:
+        merged = [join(nodes[i], nodes[i + 1])
+                  for i in range(0, len(nodes) - 1, 2)]
+        if len(nodes) % 2:
+            merged.append(nodes[-1])
+        nodes = merged
+    return nodes[0]
+
+
+def eager_lz_to_slg(fz: Factorization) -> Grammar:
+    """Rules reachable from the root that EagerBuilder makes."""
+    b = EagerBuilder()
+    root, pending = None, []
+
+    def append(x: int) -> None:
+        nonlocal root
+        root = x if root is None else b.join(root, x)
+
+    for ph in fz.phrases + [None]:
+        if ph is not None and ph.length == 0:
+            pending.append(term(ph.pos))
+            continue
+        if pending:
+            append(pairwise_flush(b.join, pending))
+            pending = []
+        if ph is None:
+            break
+        src, pos = ph.pos - 1, b.length(root)
+        if ph.length <= pos - src:
+            append(b.extract(root, src, src + ph.length))
+            continue
+        reps, rest = divmod(ph.length, pos - src)
+        append(b.power(b.extract(root, src, pos), reps))
+        if rest:
+            append(b.extract(root, src, src + rest))
+    if root < 0:
+        return Grammar([SeqRule((root,))])
+    return Grammar([SeqRule(rhs) for rhs in b.rules[:root]] +
+                   [SeqRule((root,))])
+
+
+def shape(g: Grammar) -> list[tuple[int, ...]]:
+    """Right-hand sides of the rules reachable from the start, renumbered
+    in post-order from the start, chains skipped: equal for two grammars
+    exactly when their rule DAGs are equal but for rule ids."""
+    ids: dict[int, int] = {}
+    out: list[tuple[int, ...]] = []
+
+    def visit(s: int) -> int:
+        if s < 0:
+            return s
+        if s not in ids:
+            rhs = g.rules[s - 1].rhs
+            if len(rhs) == 1:
+                ids[s] = visit(rhs[0])
+            else:
+                out.append(tuple(visit(c) for c in rhs))
+                ids[s] = len(out)
+        return ids[s]
+
+    visit(len(g.rules))
+    return out
+
+
+def signature(g: Grammar) -> tuple[int, int, str]:
+    """Rule count, start height and the sha256 of the sorted (length,
+    height, Karp-Rabin fingerprint) of every rule: independent of rule
+    ids."""
+    n = len(g.rules)
+    length, height, fp = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    for i, rule in enumerate(g.rules, start=1):
+        for s in rule.rhs:
+            ln, ht, f = (1, 0, -s - 1) if s < 0 else \
+                (length[s], height[s], fp[s])
+            fp[i] = (fp[i] * pow(256, ln, FP_MOD) + f) % FP_MOD
+            length[i] += ln
+            height[i] = max(height[i], ht + 1)
+    rows = sorted(zip(length[1:], height[1:], fp[1:]))
+    return n, height[n], hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
 def test_single_literal():
@@ -32,6 +203,7 @@ def test_expand_equality_300_random_texts():
         t = random_text(rng, max_len=1500)
         g = lz_to_slg(parse_bentley_mcilroy(t, 8))
         assert expand(g) == t
+        assert prune_slp(g).rules == g.rules
 
 
 def test_rejects_inconsistent_factorizations():
@@ -41,6 +213,80 @@ def test_rejects_inconsistent_factorizations():
         lz_to_slg(Factorization([Phrase(ord("a"), 0), Phrase(5, 2)], 3))
     with pytest.raises(ParseError):
         lz_to_slg(Factorization([Phrase(999, 0)], 1))
+
+
+def test_errors_name_the_first_bad_phrase():
+    a = Phrase(ord("a"), 0)
+    cases = [
+        ([a, Phrase(5, 1), Phrase(300, 0)], 2, "phrase 2: source 5"),
+        ([a, Phrase(300, 0), Phrase(5, 1)], 2, "phrase 2: literal 300"),
+        ([a, a, Phrase(2**64 - 1, 0), a], 4, "phrase 3: literal"),
+        ([a, Phrase(1, -2)], 3, "phrase 2: negative length"),
+        ([a, Phrase(2**63, 2)], 3, "phrase 2: source"),
+        ([a, a], 3, "expand to 2 bytes, header promised 3"),
+    ]
+    for phrases, n, message in cases:
+        with pytest.raises(ParseError, match=message):
+            lz_to_slg(Factorization(phrases, n))
+
+
+def test_rejects_oversized_text():
+    big = Factorization([Phrase(ord("a"), 0), Phrase(1, 2**63 - 1)], 2**63)
+    with pytest.raises(ParseError, match="exceeds 2"):
+        lz_to_slg(big)
+    # one byte less fits in a signed 64-bit length
+    g = lz_to_slg(Factorization([Phrase(ord("a"), 0),
+                                 Phrase(1, 2**63 - 2)], 2**63 - 1))
+    assert validate(g).ok and len(g.rules) < 200
+
+
+def test_bulk_literal_runs_match_pairwise_flush():
+    rng = np.random.default_rng(206)
+    counts = np.arange(1, 301)
+    for sigma in (1, 3, 256):
+        leaves = -1 - rng.integers(0, sigma, int(counts.sum()))
+        runs = np.split(leaves, np.cumsum(counts)[:-1])
+        # bulk first, then the reference finds the nodes it made, and
+        # the other way round
+        b = _Builder()
+        bulk = b.literal_runs(leaves, counts)
+        assert bulk == [pairwise_flush(b.join, r.tolist()) for r in runs]
+        b = _Builder()
+        plain = [pairwise_flush(b.join, r.tolist()) for r in runs]
+        assert b.literal_runs(leaves, counts) == plain
+
+
+def test_lz_to_slg_matches_eager_reference():
+    rng = random.Random(207)
+    for i in range(200):
+        if i % 3 == 0:
+            t = random_text(rng, max_len=3000)
+        elif i % 3 == 1:
+            t = mutated_text(rng, base_len=rng.randint(1, 80),
+                             total_len=rng.randint(1, 5000))
+        else:
+            t = bytes(rng.choice(b"ab") for _ in range(
+                rng.randint(1, 300))) * rng.randint(1, 20)
+        fz = (parse_exact_lz77(t) if i % 4 == 0 else
+              parse_bentley_mcilroy(t, rng.choice([2, 3, 8, 50])))
+        assert shape(lz_to_slg(fz)) == shape(eager_lz_to_slg(fz))
+
+
+@pytest.mark.parametrize("block_size, expected", [
+    (20, (7977, 25, "5e5972b6e5646c484f295b78226ed498"
+                    "c55b28579bf82672500d385257f3650a")),
+    (50, (9335, 24, "adf6a67360e7a938227e490e47b6beaf"
+                    "8948b4520162cdd1067d48613fee42bc")),
+    (500, (6049, 24, "5fca73720a92af2330bf9a9150dfab21"
+                     "aa11602f99889c75c17354c1be674f3c")),
+])
+def test_acceptance_corpus_grammar_frozen(block_size, expected):
+    # signature of prune_slp(lz_to_slg(parse)) on gen-dataset 4M 1e-5
+    # seed 21, pinned when lz_to_slg still emitted dead rules
+    text = gen_dataset(load_sample(), 4 << 20, mutation_rate=1e-5, seed=21)
+    g = lz_to_slg(parse_bentley_mcilroy(text, block_size))
+    assert signature(g) == expected
+    assert prune_slp(g).rules == g.rules
 
 
 def test_empty_factorization():
@@ -149,6 +395,11 @@ def test_prune_idempotent_and_semantics_on_corpus():
         assert expand(p1) == expand(g)
         assert len(p1.rules) <= len(g.rules)
         assert prune_slp(p1).rules == p1.rules
+
+
+def test_prune_rejects_terminals_beyond_bytes():
+    with pytest.raises(GrammarError, match="rule 2: terminal -300"):
+        prune_slp(Grammar([SeqRule((-1, -2)), SeqRule((1, -300))]))
 
 
 def test_prune_keeps_terminal_singleton_start():
