@@ -38,17 +38,13 @@ from .partition import (ConvergenceError, PairMaps, Partition,
                         RoundRecord, replaced_weight, round_limit, sides_of)
 
 
-def enc(level_sym: int) -> int:
-    """Encode a level symbol for storage in a working rhs."""
-    return level_sym if level_sym < 0 else -(256 + level_sym)
-
-
 def dec(entry: int) -> int:
     """Decode a working rhs entry known to be a level symbol."""
     return entry if entry >= -256 else -entry - 256
 
 
 def _enc(syms: np.ndarray) -> np.ndarray:
+    """Encode level symbols for storage in a working rhs."""
     return np.where(syms < 0, syms, -256 - syms)
 
 
@@ -75,28 +71,6 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _entries_of(ptr: np.ndarray, rules: np.ndarray) -> np.ndarray:
     """Positions of the entries of the given 1-based rules, in order."""
     return _ranges(ptr[rules - 1], ptr[rules] - ptr[rules - 1])
-
-
-def _fresh_ids(add, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Builder ids for the (a[i], b[i]) keys of fresh rules.
-
-    The distinct keys go to the builder in sorted order, the order the
-    string engine uses too, so both hand out the same ids.
-    """
-    if len(a) == 0:
-        return np.empty(0, dtype=np.int64)
-    order = np.lexsort((b, a))
-    sa, sb = a[order], b[order]
-    new = np.empty(len(order), dtype=bool)
-    new[0] = True
-    new[1:] = (sa[1:] != sa[:-1]) | (sb[1:] != sb[:-1])
-    keys = list(zip(sa[new].tolist(), sb[new].tolist()))
-    ids = add(keys)
-    key_ids = np.fromiter(map(ids.__getitem__, keys), dtype=np.int64,
-                          count=len(keys))
-    out = np.empty(len(a), dtype=np.int64)
-    out[order] = key_ids[np.cumsum(new) - 1]
-    return out
 
 
 def _power(extra: list[tuple[int, int]], offset: int, base: int,
@@ -137,12 +111,11 @@ def _heights(ptr: np.ndarray, ent: np.ndarray) -> np.ndarray:
     level = 0
     while len(settled):
         height[settled] = level
-        up = parents[_ranges(first[settled],
-                             first[settled + 1] - first[settled])]
-        waiting -= np.bincount(up, minlength=m + 1)
-        ready = np.zeros(m + 1, dtype=bool)
-        ready[up] = True
-        settled = (ready & (waiting == 0)).nonzero()[0]
+        up = np.sort(parents[_ranges(first[settled],
+                                     first[settled + 1] - first[settled])])
+        np.subtract.at(waiting, up, 1)
+        up = up[_starts(up)]
+        settled = up[waiting[up] == 0]
         level += 1
     return height
 
@@ -154,11 +127,10 @@ def _reachable(ptr: np.ndarray, ent: np.ndarray, root: int) -> np.ndarray:
     frontier = np.array([root])
     while len(frontier):
         e = ent[_entries_of(ptr, frontier)]
-        e = e[e > 0]
-        fresh = np.zeros(len(ptr), dtype=bool)
-        fresh[e[~alive[e]]] = True
-        alive |= fresh
-        frontier = fresh.nonzero()[0]
+        e = np.sort(e[e > 0])
+        frontier = e[_starts(e)]
+        frontier = frontier[~alive[frontier]]
+        alive[frontier] = True
     return alive
 
 
@@ -269,19 +241,43 @@ class LevelGrammar:
         return LevelGrammar(np.array([0, len(s)]), s, [0, 1])
 
     def level_string(self) -> np.ndarray:
-        """Materialized level string."""
-        ptr, ent = self.ptr, self.ent
-        s = ent[ptr[-2]:ptr[-1]]
-        while True:
-            kid = s > 0
-            if not kid.any():
-                return _dec(s)
-            # a reference expands to its rule's entries, anything else
-            # stays: both are read from ent followed by s
-            j = np.where(kid, s - 1, 0)
-            starts = np.where(kid, ptr[j], len(ent) + np.arange(len(s)))
-            counts = np.where(kid, ptr[j + 1] - ptr[j], 1)
-            s = np.concatenate((ent, s))[_ranges(starts, counts)]
+        """Materialized level string.
+
+        Rule occurrences are placed top down, a layer at a time: an
+        occurrence at position p puts each entry at p plus the entry's
+        offset in the rule, a level symbol into the string and a rule
+        reference into its rule's layer, so every occurrence is visited
+        once.
+        """
+        ptr, ent, layers = self.ptr, self.ent, np.array(self.layers)
+        lengths = self._lengths(np.int64)
+        width = np.where(ent > 0, lengths[np.maximum(ent, 0)], 1)
+        # offsets are differences within one rule, exact even where the
+        # running sum wraps around
+        before = width.cumsum() - width
+        out = np.empty(int(lengths[-1]), dtype=np.int64)
+        # per layer: (rules, positions) of the occurrences to place
+        pending = [[] for _ in layers[1:]]
+        pending[-1].append((np.array([len(self)]), np.zeros(1, np.int64)))
+        for layer in reversed(range(len(pending))):
+            if not pending[layer]:
+                continue
+            rules, at = map(np.concatenate, zip(*pending[layer]))
+            first = ptr[rules - 1]
+            counts = ptr[rules] - first
+            entries = _ranges(first, counts)
+            pos = (at - before[first]).repeat(counts) + before[entries]
+            e = ent[entries]
+            sym = e < 0
+            out[pos[sym]] = _dec(e[sym])
+            kid, pos = e[~sym], pos[~sym]
+            lay = np.searchsorted(layers, kid) - 1
+            order = np.argsort(lay, kind="stable")
+            kid, pos, lay = kid[order], pos[order], lay[order]
+            cut = _starts(lay).tolist() + [len(lay)]
+            for a, b in zip(cut[:-1], cut[1:]):
+                pending[lay[a]].append((kid[a:b], pos[a:b]))
+        return out
 
 
 def _rewrite(lg: LevelGrammar, own: tuple, step, add) -> LevelGrammar:
@@ -362,7 +358,7 @@ def _next_grammar(vals, keys, widths, counts, add) -> LevelGrammar:
     val = np.concatenate(vals)
     key = np.concatenate(keys)
     pending = key.nonzero()[0]
-    val[pending] = _enc(_fresh_ids(add, val[pending], key[pending]))
+    val[pending] = _enc(add(val[pending], key[pending]))
     lens = np.concatenate(widths)
     sizes = np.array(counts)
     layers = np.concatenate(([0], np.cumsum(sizes[sizes > 0]))).tolist()

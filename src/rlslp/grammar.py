@@ -40,12 +40,12 @@ def term_byte(sym: int) -> int:
     return -sym - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeqRule:
     rhs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRule:
     base: int
     exponent: int
@@ -125,6 +125,17 @@ def expansion_lengths(g: Grammar) -> list[int]:
     Rejects grammars whose expansion would not fit in a signed 64-bit
     length, which bounds every downstream size computation.
     """
+    lengths = _capped_lengths(g)
+    for i, n in enumerate(lengths):
+        if n > MAX_EXPANSION:
+            raise GrammarError(f"expansion length of rule {i} exceeds 2^63-1")
+    return lengths
+
+
+def _capped_lengths(g: Grammar) -> list[int]:
+    """expansion_lengths, but a length past 2^63-1 is cut to 2^63, so
+    the integers stay bounded and no rule is rejected."""
+    cap = MAX_EXPANSION + 1
     lengths = [0] * (len(g.rules) + 1)
     for i, rule in enumerate(g.rules, start=1):
         if isinstance(rule, SeqRule):
@@ -134,9 +145,7 @@ def expansion_lengths(g: Grammar) -> list[int]:
         else:
             base = 1 if rule.base < 0 else lengths[rule.base]
             n = base * rule.exponent
-        if n > MAX_EXPANSION:
-            raise GrammarError(f"expansion length of rule {i} exceeds 2^63-1")
-        lengths[i] = n
+        lengths[i] = min(n, cap)
     return lengths
 
 
@@ -205,7 +214,12 @@ def iter_expansion(g: Grammar, rule_index: int | None = None,
     if not report.ok:
         where = f"rule {report.rule_index}: " if report.rule_index else ""
         raise GrammarError(where + report.message)
-    lengths = expansion_lengths(g)
+    # a rule only references shorter rules, so if this one fits, so
+    # does everything it expands; unreachable rules may not
+    lengths = _capped_lengths(g)
+    if lengths[rule_index] > MAX_EXPANSION:
+        raise GrammarError(
+            f"expansion length of rule {rule_index} exceeds 2^63-1")
     memo = _build_memo(g, lengths, memo_budget)
     rules = g.rules
 

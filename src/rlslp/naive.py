@@ -28,21 +28,9 @@ def bcomp_string(s: np.ndarray, builder: RlslpBuilder) -> np.ndarray:
         return s
     starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
     lengths = np.diff(np.r_[starts, n])
-    run_syms = s[starts]
-    long_mask = lengths >= 2
-    out = run_syms.copy()
-    if long_mask.any():
-        syms2 = run_syms[long_mask]
-        lens2 = lengths[long_mask]
-        # encode (symbol, length) pairs as single ints for fast uniquing
-        usyms, sym_idx = np.unique(syms2, return_inverse=True)
-        span = int(lens2.max()) + 1
-        codes = sym_idx * span + lens2
-        ucodes, code_inv = np.unique(codes, return_inverse=True)
-        keys = [(int(usyms[c // span]), int(c % span)) for c in ucodes.tolist()]
-        ids = builder.add_runs(keys)
-        id_arr = np.array([ids[k] for k in keys], dtype=np.int64)
-        out[long_mask] = id_arr[code_inv]
+    out = s[starts]
+    long = lengths >= 2
+    out[long] = builder.add_runs(out[long], lengths[long])
     return out
 
 
@@ -66,26 +54,11 @@ def pcomp_string(s: np.ndarray, part, builder: RlslpBuilder) -> np.ndarray:
     Candidate positions can never be adjacent (a symbol sits on one side
     only), so the left-to-right replacement order is immaterial.
     """
-    n = len(s)
-    if n < 2:
-        return s.copy()
-    usyms, inv = np.unique(s, return_inverse=True)
-    sym_list = [int(x) for x in usyms.tolist()]
-    sides = sides_of(part.side_table(), usyms)
-    left = sides == 1
-    right = sides == -1
-    starts = np.flatnonzero(left[inv[:-1]] & right[inv[1:]])
-    if len(starts) == 0:
-        return s.copy()
-    width = len(usyms)
-    codes = inv[starts].astype(np.int64) * width + inv[starts + 1]
-    ucodes, code_inv = np.unique(codes, return_inverse=True)
-    keys = [(sym_list[c // width], sym_list[c % width]) for c in ucodes.tolist()]
-    ids = builder.add_pairs(keys)
-    id_arr = np.array([ids[k] for k in keys], dtype=np.int64)
+    side = sides_of(part.side_table(), s)
+    starts = np.flatnonzero((side[:-1] == 1) & (side[1:] == -1))
     out = s.copy()
-    out[starts] = id_arr[code_inv]
-    keep = np.ones(n, dtype=bool)
+    out[starts] = builder.add_pairs(s[starts], s[starts + 1])
+    keep = np.ones(len(s), dtype=bool)
     keep[starts + 1] = False
     return out[keep]
 

@@ -76,10 +76,6 @@ class PairMaps:
         self.first, self.second = first[at], second[at]
         self.weight = np.add.reduceat(weight[order], starts)
 
-    def add(self, first: int, second: int, weight: int) -> None:
-        self.add_arrays(np.array([first]), np.array([second]),
-                        np.array([weight]))
-
     def oriented_items(self):
         """Yield ((a, b), weight) in original text orientation."""
         yield from zip(zip(self.first.tolist(), self.second.tolist()),
@@ -99,15 +95,6 @@ class Partition:
     sides: dict[int, bool]
     _table: np.ndarray | None = field(default=None, init=False, repr=False,
                                       compare=False)
-
-    def is_left(self, sym: int) -> bool:
-        return self.sides.get(sym) is True
-
-    def is_right(self, sym: int) -> bool:
-        return self.sides.get(sym) is False
-
-    def flipped(self) -> "Partition":
-        return Partition({s: not v for s, v in self.sides.items()})
 
     def side_table(self) -> np.ndarray:
         """Sides indexed by symbol_rank: 1 left, -1 right, 0 for symbols
@@ -278,47 +265,56 @@ def records_to_tsv(records: list[RoundRecord]) -> str:
 class RlslpBuilder:
     """Accumulates the output grammar across rounds.
 
-    Rules are appended monotonically, so ids from earlier rounds stay
-    stable.  Run rules are deduplicated globally by (base, exponent);
-    pair rules are deduplicated only within their round, matching the
-    fact that later rounds speak a fresh level alphabet.
+    A round's fresh rules come as two int64 key arrays: symbol and
+    length for runs, left and right symbol for pairs.  Its distinct keys
+    get the next ids in sorted key order, so both engines assign the
+    same ones.  Keys are deduplicated within their round only, as none
+    can come back.  A later pair round speaks a fresh level alphabet.  A
+    run round leaves no two equal symbols adjacent, and a pair round
+    makes two old symbols adjacent only if they already were, so every
+    run a run round finds is of a symbol the pair round before it made.
     """
 
     def __init__(self) -> None:
-        self.rules: list[SeqRule | RunRule] = []
-        self.run_keys: dict[tuple[int, int], int] = {}
+        self._keys: list[tuple] = []  # (is run, a, b) per round
+        self.productions = 0
 
-    def add_runs(self, keys) -> dict[tuple[int, int], int]:
-        """Run rules for the distinct (symbol, length) keys, assigned in
-        sorted key order.  Returns the key -> symbol id mapping."""
-        out: dict[tuple[int, int], int] = {}
-        for key in sorted(set(keys)):
-            existing = self.run_keys.get(key)
-            if existing is not None:
-                out[key] = existing
-                continue
-            self.rules.append(RunRule(key[0], key[1]))
-            rid = len(self.rules)
-            self.run_keys[key] = rid
-            out[key] = rid
-        return out
+    def add_runs(self, sym: np.ndarray, length: np.ndarray) -> np.ndarray:
+        """Ids of the run rules sym[i]^length[i]."""
+        return self._add(True, sym, length)
 
-    def add_pairs(self, keys) -> dict[tuple[int, int], int]:
-        """Pair rules for the distinct (a, b) keys of one round, in
-        sorted key order."""
-        out: dict[tuple[int, int], int] = {}
-        for key in sorted(set(keys)):
-            self.rules.append(SeqRule(key))
-            out[key] = len(self.rules)
-        return out
+    def add_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Ids of the pair rules a[i] b[i]."""
+        return self._add(False, a, b)
+
+    def _add(self, run: bool, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Ids for the keys (a[i], b[i]) of run or pair rules."""
+        if len(a) == 0:
+            return np.empty(0, dtype=np.int64)
+        order = np.lexsort((b, a))
+        a, b = a[order], b[order]
+        new = np.empty(len(order), dtype=bool)
+        new[0] = True
+        new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+        rank = np.cumsum(new)
+        ids = np.empty(len(order), dtype=np.int64)
+        ids[order] = self.productions + rank
+        self._keys.append((run, a[new], b[new]))
+        self.productions += int(rank[-1])
+        return ids
 
     @property
-    def productions(self) -> int:
-        return len(self.rules)
+    def rules(self) -> list[SeqRule | RunRule]:
+        """The rules made so far, in id order."""
+        rules: list[SeqRule | RunRule] = []
+        for run, a, b in self._keys:
+            a, b = a.tolist(), b.tolist()
+            rules += map(RunRule, a, b) if run else map(SeqRule, zip(a, b))
+        return rules
 
     def finish(self, final_symbol: int) -> Grammar:
         """Close the grammar so `final_symbol` expands the whole text."""
-        rules = list(self.rules)
+        rules = self.rules
         if final_symbol < 0 or final_symbol != len(rules):
             rules.append(SeqRule((final_symbol,)))
         return Grammar(rules, alphabet_size=256)

@@ -14,16 +14,18 @@ from hypothesis import strategies as st
 
 from conftest import (mutated_text, random_rlslp, random_seq_grammar,
                       random_text)
-from rlslp.engine import (LevelGrammar, bcomp, collect_pair_frequencies,
-                          compute_nocc, dec, enc, pcomp, recompress)
+from rlslp.engine import (LevelGrammar, _enc, bcomp,
+                          collect_pair_frequencies, compute_nocc, dec, pcomp,
+                          recompress)
 from rlslp.grammar import (Grammar, GrammarError, RunRule, SeqRule,
                            decode_grammar, expand, expansion_lengths,
                            validate)
 from rlslp.lz import parse_bentley_mcilroy
 from rlslp.naive import (bcomp_string, pair_stats_string, pcomp_string,
                          recompress_string, text_to_levels)
-from rlslp.partition import (ConvergenceError, PartitionSource,
-                             RlslpBuilder, randomized_partition)
+from rlslp.partition import (STRATEGIES, ConvergenceError, Partition,
+                             PartitionSource, RlslpBuilder,
+                             randomized_partition)
 from rlslp.pipeline import PipelineConfig, run_pipeline
 from rlslp.slg import lz_to_slg, prune_slp, slg_to_slp
 
@@ -43,17 +45,16 @@ def slp_of(t: bytes) -> Grammar:
 
 
 def test_enc_dec_frozen():
-    assert enc(A) == A
-    assert enc(1) == -257
-    assert enc(5) == -261
+    assert _enc(np.array([A, 1, 5])).tolist() == [A, -257, -261]
     assert dec(-257) == 1
     assert dec(A) == A
 
 
 @given(st.one_of(st.integers(-256, -1), st.integers(1, 10**9)))
 def test_enc_dec_round_trip(sym):
-    assert enc(sym) < 0
-    assert dec(enc(sym)) == sym
+    entry = int(_enc(np.array([sym]))[0])
+    assert entry < 0
+    assert dec(entry) == sym
 
 
 # --- level grammar import ----------------------------------------------
@@ -105,6 +106,17 @@ def test_from_slp_drops_unreachable_rules():
     lg = LevelGrammar.from_slp(g)
     assert len(lg) == 2
     assert lg.level_string().tolist() == [A, B, A]
+
+
+def test_from_slp_round_trips_a_deep_comb():
+    # slg_to_slp makes one long rule a left comb, one layer per symbol
+    rng = random.Random(513)
+    t = bytes(rng.choice(b"abc") for _ in range(20000))
+    g = slg_to_slp(Grammar([SeqRule(tuple(-(c + 1) for c in t))]))
+    lg = LevelGrammar.from_slp(g)
+    assert len(lg.layers) == 20000
+    assert lg.level_string().tolist() == text_to_levels(t).tolist()
+    assert expand(recompress(g).grammar) == t
 
 
 def test_level_string_matches_expansion():
@@ -457,6 +469,34 @@ def test_injected_partitions_reproduce_string_run():
         src = PartitionSource(injected=rs.partitions)
         rg = recompress(slp_of(t), source=src)
         assert rg.grammar.rules == rs.grammar.rules
+
+
+def _random_sides(rng: random.Random, t: bytes, count: int):
+    """Partitions over the terminals of t and the rule ids up to len(t),
+    more than recompressing t can make (each new rule shortens the level
+    string): each symbol left, right or on neither side."""
+    syms = [-(c + 1) for c in sorted(set(t))] + list(range(1, len(t) + 1))
+    return [Partition({s: rng.random() < 0.5 for s in syms
+                       if rng.random() < 0.9}) for _ in range(count)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.binary(min_size=1, max_size=120),
+                 st.lists(st.integers(97, 99), min_size=1,
+                          max_size=150).map(bytes)),
+       st.integers(0, 2**32 - 1))
+def test_run_keys_never_repeat_across_rounds(t, seed):
+    results = []
+    for strategy in STRATEGIES:
+        results.append(recompress_string(t, strategy=strategy, seed=seed))
+        results.append(recompress(slp_of(t), strategy=strategy, seed=seed))
+    parts = _random_sides(random.Random(seed), t, 150)
+    rs = recompress_string(t, source=PartitionSource(injected=parts))
+    rg = recompress(slp_of(t), source=PartitionSource(injected=parts))
+    assert rg.grammar.rules == rs.grammar.rules
+    for res in results + [rs, rg]:
+        runs = [r for r in res.grammar.rules if isinstance(r, RunRule)]
+        assert len(set(runs)) == len(runs)
 
 
 @settings(max_examples=100, deadline=None)

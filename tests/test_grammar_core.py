@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_rlslp
+from rlslp import cli
 from rlslp.grammar import (FormatError, Grammar, GrammarError, RunRule,
                            SeqRule, decode_grammar, encode_grammar, expand,
                            expansion_lengths, grammar_size, iter_expansion,
@@ -85,6 +86,22 @@ def test_expansion_lengths_overflow_rejected():
         rules.append(RunRule(len(rules), 2))
     with pytest.raises(GrammarError):
         expansion_lengths(Grammar(rules))
+
+
+def test_oversized_dead_rules_do_not_block_expansion(tmp_path):
+    # rules 1-3 expand past 2^63-1, but the start rule never reaches them
+    g = Grammar([RunRule(-4, 2**64 - 8), RunRule(1, 2),
+                 SeqRule((2, -3, -2, -1)), RunRule(-3, 4)])
+    assert validate(g).ok
+    assert expand(g) == b"\x02" * 4
+    grammar_path, text_path = tmp_path / "g.slgf", tmp_path / "text"
+    grammar_path.write_bytes(encode_grammar(g))
+    text_path.write_bytes(b"\x02" * 4)
+    assert cli.main(["verify", str(grammar_path), str(text_path)]) == 0
+    with pytest.raises(GrammarError):
+        expand(g, 3)
+    with pytest.raises(GrammarError):
+        expand(Grammar([RunRule(-4, 2**64 - 8), SeqRule((1, 1))]))
 
 
 def test_lengths_monotone_under_reference():

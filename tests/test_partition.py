@@ -18,10 +18,10 @@ from rlslp.partition import (PairMaps, Partition, PartitionError,
 A, B, C = -97, -98, -99  # terminals a, b, c
 
 
-def pair_maps(weights: dict[tuple[int, int], int]) -> PairMaps:
+def pair_maps(triples) -> PairMaps:
+    """Pair counts from (x, y, weight) triples."""
     pm = PairMaps()
-    for (x, y), w in weights.items():
-        pm.add(x, y, w)
+    pm.add_arrays(*map(np.array, zip(*triples)))
     return pm
 
 
@@ -33,13 +33,13 @@ def test_symbol_rank_orders_terminals_before_rules():
 
 
 def test_pair_maps_recover_orientation():
-    pm = pair_maps({(A, B): 3, (B, A): 5, (A, C): 2})
+    pm = pair_maps([(A, B, 3), (B, A, 5), (A, C, 2)])
     assert dict(pm.oriented_items()) == {(A, B): 3, (B, A): 5, (A, C): 2}
     assert pm.total_weight() == 10
 
 
 def test_two_symbol_cut_takes_everything():
-    pm = pair_maps({(A, B): 10})
+    pm = pair_maps([(A, B, 10)])
     part = deterministic_partition(pm, [A, B])
     assert replaced_weight(pm, part) == 10
 
@@ -54,7 +54,7 @@ def _exhaustive_best(pm: PairMaps, alphabet) -> int:
 
 
 def test_triangle_against_exhaustive_search():
-    pm = pair_maps({(A, B): 3, (B, C): 3, (A, C): 3})
+    pm = pair_maps([(A, B, 3), (B, C, 3), (A, C, 3)])
     assert _exhaustive_best(pm, [A, B, C]) == 6
     part = deterministic_partition(pm, [A, B, C])
     got = replaced_weight(pm, part)
@@ -68,10 +68,8 @@ def test_quarter_guarantee_random_instances():
     rng = random.Random(300)
     for _ in range(300):
         syms = rng.sample(range(-256, 0), rng.randint(2, 12))
-        pm = PairMaps()
-        for _ in range(rng.randint(1, 30)):
-            x, y = rng.sample(syms, 2)
-            pm.add(x, y, rng.randint(1, 50))
+        pm = pair_maps([(*rng.sample(syms, 2), rng.randint(1, 50))
+                        for _ in range(rng.randint(1, 30))])
         part = deterministic_partition(pm, syms)
         assert set(part.sides) == set(syms)
         assert replaced_weight(pm, part) * 4 >= pm.total_weight()
@@ -86,24 +84,11 @@ def test_quarter_guarantee_random_instances():
     min_size=1, max_size=25).filter(
         lambda ps: any(x != y for x, y, _ in ps)))
 def test_quarter_guarantee_property(pairs):
-    pm = PairMaps()
-    alphabet = set()
-    loops = 0
-    for x, y, w in pairs:
-        alphabet.update((x, y))
-        if x == y:
-            loops += w  # a self pair can never cross a two-coloring
-            continue
-        pm.add(x, y, w)
+    alphabet = {s for x, y, _ in pairs for s in (x, y)}
+    # a self pair can never cross a two-coloring
+    pm = pair_maps([(x, y, w) for x, y, w in pairs if x != y])
     part = deterministic_partition(pm, alphabet)
     assert replaced_weight(pm, part) * 4 >= pm.total_weight()
-
-
-def test_flipped_is_involutive():
-    part = Partition({A: True, B: False})
-    assert part.flipped().flipped().sides == part.sides
-    assert part.is_left(A) and part.is_right(B)
-    assert not part.is_left(C) and not part.is_right(C)
 
 
 def test_randomized_partition_is_seed_stable():
@@ -117,7 +102,7 @@ def test_randomized_partition_is_seed_stable():
 
 
 def test_mixed_strategy_alternates():
-    pm = pair_maps({(A, B): 4, (B, C): 1})
+    pm = pair_maps([(A, B, 4), (B, C, 1)])
     syms = [A, B, C]
     src = PartitionSource(strategy="mixed", seed=11)
     first = src.next_partition(pm, syms)
@@ -139,7 +124,7 @@ def test_make_partition_rejects_unknown_strategy():
 def test_injected_partitions_replay_then_exhaust():
     parts = [Partition({A: True, B: False}), Partition({A: False, B: True})]
     src = PartitionSource(injected=parts)
-    pm = pair_maps({(A, B): 1})
+    pm = pair_maps([(A, B, 1)])
     assert src.next_partition(pm, [A, B]).sides == parts[0].sides
     assert src.next_partition(pm, [A, B]).sides == parts[1].sides
     with pytest.raises(PartitionError):
@@ -184,34 +169,37 @@ def test_partition_side_table_by_rank():
     assert sides_of(part.side_table(), syms).tolist() == [1, -1, 0, -1, 0, 0]
 
 
+def keys(*pairs):
+    """The two int64 key arrays of (a, b) pairs."""
+    a, b = zip(*pairs)
+    return np.array(a), np.array(b)
+
+
 def test_builder_assigns_run_ids_in_sorted_order():
     b = RlslpBuilder()
-    ids = b.add_runs([(A, 2), (B, 3), (A, 2)])
-    assert ids == {(B, 3): 1, (A, 2): 2}
+    ids = b.add_runs(*keys((A, 2), (B, 3), (A, 2)))
+    assert ids.tolist() == [2, 1, 2]
     assert b.rules == [RunRule(B, 3), RunRule(A, 2)]
-    # global dedup: a repeat key keeps its id, new keys extend
-    again = b.add_runs([(A, 2), (A, 4)])
-    assert again == {(A, 2): 2, (A, 4): 3}
-    assert b.productions == 3
+    assert b.productions == 2
 
 
 def test_builder_pair_ids_are_per_round():
     b = RlslpBuilder()
-    first = b.add_pairs([(A, B)])
-    second = b.add_pairs([(A, B)])
-    assert first == {(A, B): 1}
-    assert second == {(A, B): 2}
+    first = b.add_pairs(*keys((A, B)))
+    second = b.add_pairs(*keys((A, B)))
+    assert first.tolist() == [1]
+    assert second.tolist() == [2]
     assert b.rules == [SeqRule((A, B)), SeqRule((A, B))]
 
 
 def test_builder_finish_wraps_unless_start_is_last():
     b = RlslpBuilder()
-    b.add_runs([(A, 3)])
+    b.add_runs(*keys((A, 3)))
     g = b.finish(1)
     assert g.rules == [RunRule(A, 3)]
 
     b2 = RlslpBuilder()
-    b2.add_runs([(A, 3), (B, 2)])
+    b2.add_runs(*keys((A, 3), (B, 2)))
     g2 = b2.finish(1)
     assert g2.rules[-1] == SeqRule((1,))
 
