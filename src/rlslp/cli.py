@@ -181,7 +181,7 @@ def _cmd_lz_to_slg(args) -> int:
     fz = decode_factorization_bytes(Path(args.input).read_bytes())
     g = lz_to_slg(fz)
     write_atomic(args.output, encode_grammar(g))
-    print(f"{args.output}: {len(g.rules)} rules")
+    print(f"{args.output}: {len(g)} rules")
     return 0
 
 
@@ -189,7 +189,7 @@ def _transform(args, fn) -> int:
     g = decode_grammar(Path(args.input).read_bytes())
     out = fn(g)
     write_atomic(args.output, encode_grammar(out))
-    print(f"{args.output}: {len(out.rules)} rules")
+    print(f"{args.output}: {len(out)} rules")
     return 0
 
 

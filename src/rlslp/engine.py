@@ -28,11 +28,10 @@ single rule, and the remaining rounds sweep that one layer.
 from __future__ import annotations
 
 import time
-from itertools import chain
 
 import numpy as np
 
-from .grammar import MAX_EXPANSION, Grammar, GrammarError, SeqRule
+from .grammar import MAX_EXPANSION, Grammar, GrammarError, power
 from .partition import (ConvergenceError, PairMaps, Partition,
                         PartitionSource, RecompressResult, RlslpBuilder,
                         RoundRecord, replaced_weight, round_limit, sides_of)
@@ -71,27 +70,6 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _entries_of(ptr: np.ndarray, rules: np.ndarray) -> np.ndarray:
     """Positions of the entries of the given 1-based rules, in order."""
     return _ranges(ptr[rules - 1], ptr[rules] - ptr[rules - 1])
-
-
-def _power(extra: list[tuple[int, int]], offset: int, base: int,
-           exponent: int) -> tuple[int, int]:
-    """Right-hand side of base^exponent, exponent >= 2, by the binary
-    doubling of slg's _Builder.power.  The helper rules it needs are
-    appended to extra, numbered from offset + 1."""
-    result = None
-    while exponent:
-        if exponent & 1:
-            if result is None:
-                result = base
-            else:
-                extra.append((result, base))
-                result = offset + len(extra)
-        exponent >>= 1
-        if exponent:
-            extra.append((base, base))
-            base = offset + len(extra)
-    # the result is the rule made last; the caller's rule takes its place
-    return extra.pop()
 
 
 def _heights(ptr: np.ndarray, ent: np.ndarray) -> np.ndarray:
@@ -185,22 +163,34 @@ class LevelGrammar:
         same text.  A grammar whose text is longer than 2^63 - 1, which
         the int64 level lengths cannot hold, is rejected.
         """
-        rhss = [rule.rhs if isinstance(rule, SeqRule) else None
-                for rule in g.rules]
-        extra: list[tuple[int, int]] = []
-        for i, rhs in enumerate(rhss):
-            if rhs is None:
-                rule = g.rules[i]
-                if rule.exponent < 2:
+        m = len(g)
+        ent, ptr = g.ent, g.ptr
+        runs = np.flatnonzero(g.run)
+        if len(runs):
+            ent = ent.copy()
+            extra: list[int] = []
+
+            def join(a: int, b: int) -> int:
+                extra.extend((a, b))
+                return m + len(extra) // 2
+
+            at = ptr[runs]
+            for i, j, base, exponent in zip(runs.tolist(), at.tolist(),
+                                            ent[at].tolist(),
+                                            ent[at + 1].tolist()):
+                exponent &= 2**64 - 1
+                if exponent < 2:
                     raise GrammarError(f"rule {i + 1}: run exponent < 2")
-                rhss[i] = _power(extra, len(rhss), rule.base, rule.exponent)
-        rhss += extra
-        lens = np.fromiter(map(len, rhss), dtype=np.int64, count=len(rhss))
-        ent = np.fromiter(chain.from_iterable(rhss), dtype=np.int64,
-                          count=int(lens.sum()))
-        ptr = np.concatenate(([0], np.cumsum(lens)))
+                power(join, base, exponent)
+                # the run rule takes the place of the rule made last
+                ent[j + 1] = extra.pop()
+                ent[j] = extra.pop()
+            ent = np.concatenate((ent, np.array(extra, dtype=np.int64)))
+            ptr = np.concatenate((ptr, ptr[-1] + np.arange(2, len(extra) + 1,
+                                                           2)))
+        lens = np.diff(ptr)
         height = _heights(ptr, ent)
-        kept = _reachable(ptr, ent, len(g.rules)).nonzero()[0]
+        kept = _reachable(ptr, ent, m).nonzero()[0]
         # a stable sort by height keeps the order topological
         kept = kept[np.argsort(height[kept], kind="stable")]
         remap = np.zeros(len(ptr), dtype=np.int64)
@@ -532,6 +522,35 @@ def _compact(lg: LevelGrammar, length: int, size: int) -> LevelGrammar:
     return lg
 
 
+class _Laps:
+    """Wall time of one phase, split into RoundRecord's parts."""
+
+    def __init__(self) -> None:
+        self.start = self.last = time.perf_counter()
+        self.spent: dict[str, float] = {}
+
+    def lap(self, part: str) -> None:
+        """Count the time since the last lap towards part."""
+        now = time.perf_counter()
+        self.spent[part] = self.spent.get(part, 0.0) + now - self.last
+        self.last = now
+
+    def times(self) -> dict[str, float]:
+        return dict(self.spent, seconds=self.last - self.start)
+
+
+def _settle(lg: LevelGrammar, laps: _Laps
+            ) -> tuple[LevelGrammar, int, int]:
+    """The rewritten grammar, compacted, its level length and size."""
+    laps.lap("rewrite_s")
+    lengths, size = lg.level_lengths()
+    laps.lap("level_lengths_s")
+    length = int(lengths[-1])
+    lg = _compact(lg, length, size)
+    laps.lap("rewrite_s")
+    return lg, length, size
+
+
 def recompress(slp: Grammar, strategy: str = "mixed", seed: int = 42,
                source: PartitionSource | None = None,
                collect_trace: bool = False) -> RecompressResult:
@@ -541,7 +560,7 @@ def recompress(slp: Grammar, strategy: str = "mixed", seed: int = 42,
     level string is a single symbol; that symbol, wrapped if needed,
     becomes the start of the accumulated output grammar.
     """
-    if not slp.rules:
+    if not len(slp):
         raise GrammarError("cannot recompress an empty grammar")
     lg = LevelGrammar.from_slp(slp)
     lengths, size = lg.level_lengths()
@@ -557,37 +576,34 @@ def recompress(slp: Grammar, strategy: str = "mixed", seed: int = 42,
     while length > 1:
         if round_no >= limit:
             raise ConvergenceError(f"no convergence within {limit} phases")
-        t0 = time.perf_counter()
+        laps = _Laps()
         before = builder.productions
         lg = bcomp(lg, builder)
-        lengths, size = lg.level_lengths()
-        length = int(lengths[-1])
-        lg = _compact(lg, length, size)
+        lg, length, size = _settle(lg, laps)
         records.append(RoundRecord(round_no, "bcomp", length,
                                    builder.productions - before,
-                                   work_size=size,
-                                   seconds=time.perf_counter() - t0))
+                                   work_size=size, **laps.times()))
         if trace is not None:
             trace.append(lg.level_string())
         round_no += 1
         if length <= 1:
             break
-        t0 = time.perf_counter()
+        laps = _Laps()
         occ = compute_nocc(lg)
+        laps.lap("nocc_s")
         pairs, alphabet = collect_pair_frequencies(lg, occ)
+        laps.lap("pair_count_s")
         part = source.next_partition(pairs, alphabet)
         replaced = replaced_weight(pairs, part)
+        laps.lap("partition_s")
         before = builder.productions
         lg = pcomp(lg, part, builder)
-        lengths, size = lg.level_lengths()
-        length = int(lengths[-1])
-        lg = _compact(lg, length, size)
+        lg, length, size = _settle(lg, laps)
         records.append(RoundRecord(round_no, "pcomp", length,
                                    builder.productions - before,
                                    replaced_weight=replaced,
                                    total_weight=pairs.total_weight(),
-                                   work_size=size,
-                                   seconds=time.perf_counter() - t0))
+                                   work_size=size, **laps.times()))
         if trace is not None:
             trace.append(lg.level_string())
         round_no += 1

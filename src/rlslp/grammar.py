@@ -5,12 +5,24 @@ Negative ids are terminals (byte c is stored as -(c+1)), positive ids
 are 1-based rule indices, and 0 is never a valid symbol.  Rules may only
 reference rules with a strictly smaller index, so the list order is a
 topological order and the last rule is the start symbol.
+
+The rules are stored as three arrays: one int64 entry array `ent`, the
+per-rule offsets `ptr` (rule j's entries are ent[ptr[j-1]:ptr[j]]) and
+a per-rule run flag `run`.  A sequence rule's entries are its
+right-hand side; a run rule base^exponent is the two entries (base,
+exponent), the exponent's 64 bits read unsigned.  Every stage hands
+these arrays on, and the SLGF codec writes and reads them in bulk.
+`Grammar.rules`, a list of `SeqRule`/`RunRule` objects, is built on
+first use, for the library API and the tests.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+
+import numpy as np
 
 MAX_EXPANSION = 2**63 - 1
 MAX_ALPHABET = 256  # terminals are bytes
@@ -20,6 +32,7 @@ SLG_VERSION = 1
 
 _KIND_SEQ = 0x00
 _KIND_RUN = 0x01
+_U64_MASK = 2**64 - 1
 
 
 class GrammarError(ValueError):
@@ -54,16 +67,108 @@ class RunRule:
 Rule = SeqRule | RunRule
 
 
-@dataclass
 class Grammar:
-    rules: list[Rule]
-    alphabet_size: int = 256
+    """Rules as arrays (see the module docstring), plus the alphabet size.
+
+    `Grammar(rules, alphabet_size)` builds the arrays from rule objects;
+    `Grammar.from_arrays` takes them as they are.  The arrays are not
+    changed once the grammar is made.
+    """
+
+    __slots__ = ("ent", "ptr", "run", "alphabet_size", "_rules")
+
+    def __init__(self, rules: Iterable[Rule] = (),
+                 alphabet_size: int = 256) -> None:
+        rules = list(rules)
+        flat: list[int] = []
+        sizes: list[int] = []
+        for i, rule in enumerate(rules, start=1):
+            if isinstance(rule, SeqRule):
+                flat += rule.rhs
+                sizes.append(len(rule.rhs))
+            else:
+                e = rule.exponent
+                if not 0 <= e <= _U64_MASK:
+                    raise GrammarError(f"rule {i}: run exponent {e} is not "
+                                       "a u64")
+                # an exponent past 2^63 - 1 keeps its bits as an int64
+                flat += (rule.base, e if e <= MAX_EXPANSION else e - 2**64)
+                sizes.append(2)
+        try:
+            self.ent = np.array(flat, dtype=np.int64)
+        except OverflowError:
+            raise GrammarError("a symbol does not fit in 64 bits") from None
+        self.ptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        self.run = np.fromiter((isinstance(r, RunRule) for r in rules),
+                               dtype=bool, count=len(rules))
+        self.alphabet_size = alphabet_size
+        self._rules = rules
+
+    @classmethod
+    def from_arrays(cls, ent: np.ndarray, ptr: np.ndarray, run: np.ndarray,
+                    alphabet_size: int = 256) -> "Grammar":
+        """The grammar of these arrays, kept as they are."""
+        g = cls.__new__(cls)
+        g.ent, g.ptr, g.run = ent, ptr, run
+        g.alphabet_size = alphabet_size
+        g._rules = None
+        return g
+
+    def __len__(self) -> int:
+        return len(self.run)
+
+    @property
+    def rules(self) -> list[Rule]:
+        """The rules as objects, built once."""
+        if self._rules is None:
+            ent, ptr = self.ent.tolist(), self.ptr.tolist()
+            self._rules = [
+                RunRule(ent[a], ent[a + 1] & _U64_MASK) if run
+                else SeqRule(tuple(ent[a:b]))
+                for a, b, run in zip(ptr, ptr[1:], self.run.tolist())]
+        return self._rules
 
     @property
     def start(self) -> int:
-        if not self.rules:
+        if not len(self):
             raise GrammarError("empty grammar has no start symbol")
-        return len(self.rules)
+        return len(self)
+
+    def rows(self) -> np.ndarray:
+        """1-based rule of every entry."""
+        return np.repeat(np.arange(1, len(self) + 1), np.diff(self.ptr))
+
+    def symbol_mask(self) -> np.ndarray:
+        """True for the entries that are symbols, false for exponents."""
+        mask = np.ones(len(self.ent), dtype=bool)
+        mask[self.ptr[:-1][self.run] + 1] = False
+        return mask
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Grammar):
+            return NotImplemented
+        return (self.alphabet_size == other.alphabet_size
+                and np.array_equal(self.run, other.run)
+                and np.array_equal(self.ptr, other.ptr)
+                and np.array_equal(self.ent, other.ent))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Grammar({self.rules!r}, alphabet_size={self.alphabet_size})"
+
+
+def power(join: Callable[[int, int], int], x: int, q: int) -> int:
+    """Concatenation of q >= 1 copies of x by binary decomposition;
+    join(a, b) gives the symbol of a followed by b."""
+    result = None
+    while q:
+        if q & 1:
+            result = x if result is None else join(result, x)
+        q >>= 1
+        if q:
+            x = join(x, x)
+    return result
 
 
 @dataclass
@@ -98,25 +203,30 @@ def validate(g: Grammar) -> ValidationReport:
     Returns a report describing the first violation instead of raising;
     a bad alphabet size is reported against rule 0.
     """
-    if not 0 <= g.alphabet_size <= MAX_ALPHABET:
+    sigma = g.alphabet_size
+    if not 0 <= sigma <= MAX_ALPHABET:
         return ValidationReport(
-            False, 0, f"alphabet size {g.alphabet_size} outside "
-            f"0..{MAX_ALPHABET}")
-    for i, rule in enumerate(g.rules, start=1):
-        if isinstance(rule, SeqRule):
-            if len(rule.rhs) == 0:
-                return ValidationReport(False, i, "empty rhs")
-            for sym in rule.rhs:
-                problem = _check_symbol(sym, i, g.alphabet_size)
-                if problem:
-                    return ValidationReport(False, i, problem)
-        else:
-            if rule.exponent < 2:
-                return ValidationReport(False, i, f"run exponent {rule.exponent} < 2")
-            problem = _check_symbol(rule.base, i, g.alphabet_size)
-            if problem:
-                return ValidationReport(False, i, problem)
-    return ValidationReport(True)
+            False, 0, f"alphabet size {sigma} outside 0..{MAX_ALPHABET}")
+    ent, ptr, run = g.ent, g.ptr, g.run
+    row = g.rows()
+    bad = ptr[1:] == ptr[:-1]
+    exponent = ent[ptr[:-1][run] + 1]
+    bad[run] |= (exponent >= 0) & (exponent < 2)
+    wrong = g.symbol_mask() & ((ent == 0) | (ent < -sigma) | (ent >= row))
+    bad[row[wrong] - 1] = True
+    if not bad.any():
+        return ValidationReport(True)
+    i = int(bad.argmax()) + 1
+    a, b = int(ptr[i - 1]), int(ptr[i])
+    if a == b:
+        return ValidationReport(False, i, "empty rhs")
+    syms = ent[a:b].tolist()
+    if run[i - 1]:
+        if 0 <= syms[1] < 2:
+            return ValidationReport(False, i, f"run exponent {syms[1]} < 2")
+        syms = syms[:1]
+    problem = next(filter(None, (_check_symbol(s, i, sigma) for s in syms)))
+    return ValidationReport(False, i, problem)
 
 
 def expansion_lengths(g: Grammar) -> list[int]:
@@ -136,25 +246,29 @@ def _capped_lengths(g: Grammar) -> list[int]:
     """expansion_lengths, but a length past 2^63-1 is cut to 2^63, so
     the integers stay bounded and no rule is rejected."""
     cap = MAX_EXPANSION + 1
-    lengths = [0] * (len(g.rules) + 1)
-    for i, rule in enumerate(g.rules, start=1):
-        if isinstance(rule, SeqRule):
-            n = 0
-            for sym in rule.rhs:
-                n += 1 if sym < 0 else lengths[sym]
+    m = len(g)
+    # every terminal reads as -1, whose length is the list's last item
+    ent = np.where(g.symbol_mask() & (g.ent < 0), -1, g.ent).tolist()
+    lengths = [0] * (m + 1) + [1]
+    at = lengths.__getitem__
+    ptr = g.ptr.tolist()
+    i = 0
+    for a, b, run in zip(ptr, ptr[1:], g.run.tolist()):
+        i += 1
+        if b - a != 2:
+            n = sum(map(at, ent[a:b]))
+        elif run:
+            n = lengths[ent[a]] * (ent[a + 1] & _U64_MASK)
         else:
-            base = 1 if rule.base < 0 else lengths[rule.base]
-            n = base * rule.exponent
-        lengths[i] = min(n, cap)
+            n = lengths[ent[a]] + lengths[ent[a + 1]]
+        lengths[i] = n if n < cap else cap
+    del lengths[m + 1:]
     return lengths
 
 
 def grammar_size(g: Grammar) -> GrammarSize:
     """Total rhs length (runs count 2) and the production count."""
-    size = 0
-    for rule in g.rules:
-        size += len(rule.rhs) if isinstance(rule, SeqRule) else 2
-    return GrammarSize(size, len(g.rules))
+    return GrammarSize(len(g.ent), len(g))
 
 
 # Streaming expansion.  A bounded bottom-up memo keeps the walk fast on
@@ -162,37 +276,29 @@ def grammar_size(g: Grammar) -> GrammarSize:
 
 _MEMO_RULE_MAX = 1 << 16
 _CHUNK = 1 << 16
+_BYTES = [bytes((c,)) for c in range(MAX_ALPHABET)]
 
 
-def _build_memo(g: Grammar, lengths: list[int], budget: int) -> dict[int, bytes]:
-    memo: dict[int, bytes] = {}
+def _build_memo(ent: list[int], ptr: list[int], run: list[bool],
+                lengths: list[int], budget: int) -> dict[int, bytes]:
+    """Expansions of the rules that fit, smallest ids first; terminals
+    are in it too, keyed by their symbol."""
+    memo = {term(c): b for c, b in enumerate(_BYTES)}
+    get = memo.__getitem__
     spent = 0
-    for i, rule in enumerate(g.rules, start=1):
+    for i, (a, b, is_run) in enumerate(zip(ptr, ptr[1:], run), start=1):
         n = lengths[i]
         if n > _MEMO_RULE_MAX or spent + n > budget:
             continue
-        if isinstance(rule, SeqRule):
-            parts = []
-            ok = True
-            for sym in rule.rhs:
-                if sym < 0:
-                    parts.append(bytes((term_byte(sym),)))
-                elif sym in memo:
-                    parts.append(memo[sym])
-                else:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            memo[i] = b"".join(parts)
-        else:
-            if rule.base < 0:
-                base = bytes((term_byte(rule.base),))
-            elif rule.base in memo:
-                base = memo[rule.base]
+        try:
+            if b - a != 2:
+                memo[i] = b"".join(map(get, ent[a:b]))
+            elif is_run:
+                memo[i] = get(ent[a]) * ent[a + 1]
             else:
-                continue
-            memo[i] = base * rule.exponent
+                memo[i] = get(ent[a]) + get(ent[a + 1])
+        except KeyError:  # a child did not fit
+            continue
         spent += n
     return memo
 
@@ -204,11 +310,11 @@ def iter_expansion(g: Grammar, rule_index: int | None = None,
     Additional memory is bounded by the memo budget plus the grammar
     depth, independent of the output length.
     """
-    if not g.rules:
+    if not len(g):
         raise GrammarError("cannot expand an empty grammar")
     if rule_index is None:
         rule_index = g.start
-    if not 1 <= rule_index <= len(g.rules):
+    if not 1 <= rule_index <= len(g):
         raise GrammarError(f"no rule {rule_index}")
     report = validate(g)
     if not report.ok:
@@ -220,21 +326,26 @@ def iter_expansion(g: Grammar, rule_index: int | None = None,
     if lengths[rule_index] > MAX_EXPANSION:
         raise GrammarError(
             f"expansion length of rule {rule_index} exceeds 2^63-1")
-    memo = _build_memo(g, lengths, memo_budget)
-    rules = g.rules
+    ent = g.ent.tolist()
+    ptr = g.ptr.tolist()
+    run = g.run.tolist()
+    for a in g.ptr[:-1][g.run].tolist():
+        ent[a + 1] &= _U64_MASK
+    memo = _build_memo(ent, ptr, run, lengths, memo_budget)
 
     buf = bytearray()
-    # frames: [rhs tuple, position] for sequences, [base, remaining] for runs
-    stack: list[list] = [[(rule_index,), 0, True]]
+    # frames: [next entry, end, True] for sequences, [base, remaining,
+    # False] for runs; the rule to expand is a run of one
+    stack: list[list] = [[rule_index, 1, False]]
     while stack:
         frame = stack[-1]
         if frame[2]:  # sequence frame
-            rhs, pos = frame[0], frame[1]
-            if pos == len(rhs):
+            pos = frame[0]
+            if pos == frame[1]:
                 stack.pop()
                 continue
-            frame[1] = pos + 1
-            sym = rhs[pos]
+            frame[0] = pos + 1
+            sym = ent[pos]
         else:  # run frame
             if frame[1] == 0:
                 stack.pop()
@@ -267,11 +378,11 @@ def iter_expansion(g: Grammar, rule_index: int | None = None,
                 yield bytes(buf)
                 buf.clear()
             continue
-        rule = rules[sym - 1]
-        if isinstance(rule, SeqRule):
-            stack.append([rule.rhs, 0, True])
+        a = ptr[sym - 1]
+        if run[sym - 1]:
+            stack.append([ent[a], ent[a + 1], False])
         else:
-            stack.append([rule.base, rule.exponent, False])
+            stack.append([a, ptr[sym], True])
     if buf:
         yield bytes(buf)
 
@@ -281,28 +392,44 @@ def expand(g: Grammar, rule_index: int | None = None) -> bytes:
     return b"".join(iter_expansion(g, rule_index))
 
 
-# Serialization ("SLGF"): little-endian, fixed-width, one record per rule.
+# Serialization ("SLGF"): little-endian, fixed-width, one record per rule:
+# a kind byte, then a sequence's u64 length and its i64 symbols, or a
+# run's i64 base and u64 exponent.  Without the header and the kind
+# bytes, the file is one little-endian 64-bit array: the entries, with
+# each sequence's length in front of its own.
 
 _HEADER = struct.Struct("<4sBQQ")
 _U64 = struct.Struct("<Q")
-_I64 = struct.Struct("<q")
+
+
+def _kind_offsets(ptr: np.ndarray, seq: np.ndarray) -> np.ndarray:
+    """Byte offset of every record's kind byte."""
+    fields = ptr[:-1] + np.cumsum(seq) - seq
+    return _HEADER.size + np.arange(len(seq)) + 8 * fields
+
+
+def _words(size: int, kinds: np.ndarray) -> np.ndarray:
+    """Mask of the bytes of the 64-bit fields in a file of that size."""
+    mask = np.ones(size, dtype=bool)
+    mask[:_HEADER.size] = False
+    mask[kinds] = False
+    return mask
 
 
 def encode_grammar(g: Grammar) -> bytes:
     """Serialize to the SLGF byte format."""
-    out = bytearray(_HEADER.pack(SLG_MAGIC, SLG_VERSION, g.alphabet_size,
-                                 len(g.rules)))
-    for rule in g.rules:
-        if isinstance(rule, SeqRule):
-            out.append(_KIND_SEQ)
-            out += _U64.pack(len(rule.rhs))
-            for sym in rule.rhs:
-                out += _I64.pack(sym)
-        else:
-            out.append(_KIND_RUN)
-            out += _I64.pack(rule.base)
-            out += _U64.pack(rule.exponent)
-    return bytes(out)
+    seq = ~g.run
+    lengths = np.diff(g.ptr)
+    words = np.insert(g.ent, g.ptr[:-1][seq], lengths[seq])
+    size = _HEADER.size + len(g) + 8 * len(words)
+    kinds = _kind_offsets(g.ptr, seq)
+    out = np.empty(size, dtype=np.uint8)
+    out[:_HEADER.size] = np.frombuffer(
+        _HEADER.pack(SLG_MAGIC, SLG_VERSION, g.alphabet_size, len(g)),
+        dtype=np.uint8)
+    out[kinds] = g.run
+    out[_words(size, kinds)] = words.astype("<i8").view(np.uint8)
+    return out.tobytes()
 
 
 def decode_grammar(data: bytes) -> Grammar:
@@ -316,35 +443,41 @@ def decode_grammar(data: bytes) -> Grammar:
         raise FormatError(f"unsupported version {version}")
     if sigma > MAX_ALPHABET:
         raise FormatError(f"alphabet size {sigma} exceeds {MAX_ALPHABET}")
+    # one pass over the record heads finds the records; the fields are
+    # then read in bulk
+    end = len(data)
     pos = _HEADER.size
-    rules: list[Rule] = []
+    kinds = bytearray()
+    sizes = []
+    u64 = _U64.unpack_from
     for i in range(count):
-        if pos >= len(data):
+        if pos >= end:
             raise FormatError(f"truncated at rule {i + 1}")
         kind = data[pos]
-        pos += 1
         if kind == _KIND_SEQ:
-            if pos + 8 > len(data):
+            if pos + 9 > end:
                 raise FormatError(f"truncated at rule {i + 1}")
-            (length,) = _U64.unpack_from(data, pos)
-            pos += 8
-            if pos + 8 * length > len(data):
-                raise FormatError(f"truncated at rule {i + 1}")
-            rhs = struct.unpack_from(f"<{length}q", data, pos)
-            pos += 8 * length
-            rules.append(SeqRule(rhs))
+            (length,) = u64(data, pos + 1)
+            pos += 9 + 8 * length
         elif kind == _KIND_RUN:
-            if pos + 16 > len(data):
-                raise FormatError(f"truncated at rule {i + 1}")
-            (base,) = _I64.unpack_from(data, pos)
-            (exponent,) = _U64.unpack_from(data, pos + 8)
-            pos += 16
-            rules.append(RunRule(base, exponent))
+            length = 2
+            pos += 17
         else:
             raise FormatError(f"unknown record kind {kind:#x} at rule {i + 1}")
-    if pos != len(data):
-        raise FormatError(f"{len(data) - pos} trailing bytes")
-    g = Grammar(rules, alphabet_size=sigma)
+        if pos > end:
+            raise FormatError(f"truncated at rule {i + 1}")
+        kinds.append(kind)
+        sizes.append(length)
+    if pos != end:
+        raise FormatError(f"{end - pos} trailing bytes")
+    run = np.frombuffer(kinds, dtype=bool)
+    seq = ~run
+    ptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    kind_at = _kind_offsets(ptr, seq)
+    words = np.frombuffer(data, dtype=np.uint8)[_words(end, kind_at)]
+    words = words.view("<i8").astype(np.int64, copy=False)
+    ent = np.delete(words, (ptr[:-1] + np.cumsum(seq) - 1)[seq])
+    g = Grammar.from_arrays(ent, ptr, run, alphabet_size=sigma)
     report = validate(g)
     if not report.ok:
         raise FormatError(f"rule {report.rule_index}: {report.message}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grammar import Grammar, RunRule, SeqRule
+from .grammar import Grammar, Rule
 
 STRATEGIES = ("det", "rand", "mixed")
 
@@ -242,7 +242,15 @@ class RoundRecord:
     replaced_weight: int = 0
     total_weight: int = 0
     work_size: int = 0  # working grammar size, grammar engine only
-    seconds: float = 0.0  # wall time of the phase
+    seconds: float = 0.0  # wall time of the phase, the sum of the parts:
+    nocc_s: float = 0.0  # occurrence counts
+    pair_count_s: float = 0.0  # pair frequencies
+    partition_s: float = 0.0  # choosing the partition, replaced weight
+    rewrite_s: float = 0.0  # bcomp or pcomp, and flattening
+    level_lengths_s: float = 0.0  # level lengths of the new grammar
+
+    TIMES = ("seconds", "nocc_s", "pair_count_s", "partition_s",
+             "rewrite_s", "level_lengths_s")
 
 
 def records_to_tsv(records: list[RoundRecord]) -> str:
@@ -255,8 +263,9 @@ def records_to_tsv(records: list[RoundRecord]) -> str:
                      ("total_weight", r.total_weight)]
         if r.work_size:
             rows.append(("work_size", r.work_size))
-        if r.seconds:
-            rows.append(("seconds", f"{r.seconds:.6f}"))
+        for name in r.TIMES:
+            if getattr(r, name):
+                rows.append((name, f"{getattr(r, name):.6f}"))
         for metric, value in rows:
             lines.append(f"{r.round}\t{r.phase}\t{metric}\t{value}")
     return "\n".join(lines) + "\n"
@@ -304,20 +313,29 @@ class RlslpBuilder:
         return ids
 
     @property
-    def rules(self) -> list[SeqRule | RunRule]:
+    def rules(self) -> list[Rule]:
         """The rules made so far, in id order."""
-        rules: list[SeqRule | RunRule] = []
-        for run, a, b in self._keys:
-            a, b = a.tolist(), b.tolist()
-            rules += map(RunRule, a, b) if run else map(SeqRule, zip(a, b))
-        return rules
+        # closing on the last rule made adds no rule
+        return self.finish(self.productions).rules
 
     def finish(self, final_symbol: int) -> Grammar:
-        """Close the grammar so `final_symbol` expands the whole text."""
-        rules = self.rules
-        if final_symbol < 0 or final_symbol != len(rules):
-            rules.append(SeqRule((final_symbol,)))
-        return Grammar(rules, alphabet_size=256)
+        """Close the grammar so `final_symbol` expands the whole text.
+
+        Every round's keys are the two entries of its rules.
+        """
+        ent = [np.empty(0, dtype=np.int64)]
+        run = [np.empty(0, dtype=bool)]
+        for is_run, a, b in self._keys:
+            ent.append(np.stack((a, b), axis=1).ravel())
+            run.append(np.full(len(a), is_run))
+        sizes = np.full(self.productions, 2)
+        if final_symbol < 0 or final_symbol != self.productions:
+            ent.append(np.array([final_symbol], dtype=np.int64))
+            run.append(np.zeros(1, dtype=bool))
+            sizes = np.append(sizes, 1)
+        return Grammar.from_arrays(
+            np.concatenate(ent), np.concatenate(([0], np.cumsum(sizes))),
+            np.concatenate(run), alphabet_size=256)
 
 
 @dataclass

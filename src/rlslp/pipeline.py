@@ -216,13 +216,13 @@ def run_pipeline(input_path: str | Path, output_path: str | Path,
 
     slg = run_stage(report, "lz_to_slg", lambda: lz_to_slg(fz),
                     profile=prof)
-    report.counts["slg_rules"] = len(slg.rules)
+    report.counts["slg_rules"] = len(slg)
     if cfg.keep_intermediates:
         write_atomic(str(output_path) + ".slg", encode_grammar(slg))
 
     pruned = run_stage(report, "prune_slp", lambda: prune_slp(slg),
                        profile=prof)
-    report.counts["pruned_rules"] = len(pruned.rules)
+    report.counts["pruned_rules"] = len(pruned)
     if cfg.keep_intermediates:
         write_atomic(str(output_path) + ".pruned", encode_grammar(pruned))
 

@@ -10,14 +10,14 @@ wide rules, prune_slp removes dead, chain and duplicate rules.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import repeat
+from itertools import compress, repeat
 from operator import attrgetter
 
 import numpy as np
 
 from .engine import _reachable
 from .grammar import (MAX_ALPHABET, MAX_EXPANSION, Grammar, GrammarError,
-                      RunRule, SeqRule)
+                      SeqRule, power)
 from .lz import Factorization, ParseError
 
 # symbol x is stored at index x + _T of the builder's lists: terminals
@@ -135,18 +135,6 @@ class _Builder:
                 return self.join(self.extract(a, lo, mid),
                                  self.extract(b, 0, hi - mid))
 
-    def power(self, x: int, q: int) -> int:
-        """Concatenation of q >= 1 copies of x, by binary decomposition."""
-        result = None
-        base = x
-        while q:
-            if q & 1:
-                result = base if result is None else self.join(result, base)
-            q >>= 1
-            if q:
-                base = self.join(base, base)
-        return result
-
     def nodes(self, a: np.ndarray, b: np.ndarray, height: int) -> np.ndarray:
         """node(a[i], b[i]) for every i, all of the given height and with
         children of equal height: one np.unique over the packed pairs."""
@@ -214,13 +202,14 @@ class _Builder:
         ent = np.empty(2 * m, dtype=np.int64)
         ent[0::2] = self.left[_T + 1:]
         ent[1::2] = self.right[_T + 1:]
-        alive = _reachable(np.arange(0, 2 * m + 1, 2), ent, root)
+        ptr = np.arange(0, 2 * m + 1, 2)
+        alive = _reachable(ptr, ent, root)
         new = np.cumsum(alive)
-        at = 2 * np.flatnonzero(alive) - 2
-        kids = ent[np.concatenate((at, at + 1))]
-        kids = np.where(kids > 0, new[np.maximum(kids, 0)], kids).tolist()
-        return Grammar([SeqRule(rhs) for rhs in zip(kids[:len(at)],
-                                                    kids[len(at):])])
+        kids = ent.reshape(-1, 2)[alive[1:]].ravel()
+        kids = np.where(kids > 0, new[np.maximum(kids, 0)], kids)
+        k = len(kids) // 2
+        return Grammar.from_arrays(kids, ptr[:k + 1],
+                                   np.zeros(k, dtype=bool))
 
 
 class _Root:
@@ -401,7 +390,7 @@ def lz_to_slg(fz: Factorization) -> Grammar:
             # `window`
             period = root.extract(src, pos)
             reps, rest = divmod(length, window)
-            root.append(b.power(period, reps))
+            root.append(power(b.join, period, reps))
             if rest:
                 root.append(root.extract(src, src + rest))
     pos = root.total
@@ -414,80 +403,138 @@ def lz_to_slg(fz: Factorization) -> Grammar:
     if pos > MAX_EXPANSION:
         raise ParseError(f"text of {pos} bytes exceeds 2^63-1")
     if not root.spine:
-        return Grammar([])
+        return Grammar()
     return b.live_grammar(root.collapse(0))
 
 
 def slg_to_slp(g: Grammar) -> Grammar:
-    """Left-comb binarization: every Sequence rule gets rhs length <= 2."""
-    if all(isinstance(r, RunRule) or len(r.rhs) <= 2 for r in g.rules):
+    """Left-comb binarization: every Sequence rule gets rhs length <= 2.
+
+    A rule x0 x1 ... xk with k >= 2 becomes the k rules (x0 x1),
+    (r1 x2), ..., (r(k-1) xk), each r the rule before, and the last one
+    takes the old rule's place.
+    """
+    lengths = np.diff(g.ptr)
+    wide = ~g.run & (lengths > 2)
+    if not wide.any():
         return g
-    remap: list[int] = [0] * (len(g.rules) + 1)
-    out: list[SeqRule | RunRule] = []
-    for i, rule in enumerate(g.rules, start=1):
-        if isinstance(rule, RunRule):
-            base = rule.base if rule.base < 0 else remap[rule.base]
-            out.append(RunRule(base, rule.exponent))
-        else:
-            rhs = [s if s < 0 else remap[s] for s in rule.rhs]
-            while len(rhs) > 2:
-                out.append(SeqRule((rhs[0], rhs[1])))
-                rhs[:2] = [len(out)]
-            out.append(SeqRule(tuple(rhs)))
-        remap[i] = len(out)
-    return Grammar(out, g.alphabet_size)
+    made = np.where(wide, lengths - 1, 1)
+    new = np.concatenate(([0], np.cumsum(made)))  # new id of every rule
+    row = g.rows()
+    ent = np.where(g.symbol_mask() & (g.ent > 0), new[np.maximum(g.ent, 0)],
+                   g.ent)
+    k = np.arange(len(ent)) - g.ptr[row - 1]  # offset in the rule
+    # entry k >= 1 of a wide rule is the right child of the rule's k-th
+    # binary rule; the left child is x0 or binary rule k - 1
+    pair = wide[row - 1] & (k >= 1)
+    left = np.where(k == 1, np.roll(ent, 1), new[row] - lengths[row - 1] + k)
+    count = np.where(wide[row - 1], 2 * pair, 1)
+    at = np.cumsum(count) - count
+    out = np.empty(int(count.sum()), dtype=np.int64)
+    out[at[count == 1]] = ent[count == 1]
+    out[at[pair]] = left[pair]
+    out[at[pair] + 1] = ent[pair]
+    sizes = np.repeat(np.where(wide, 2, lengths), made)
+    return Grammar.from_arrays(out, np.concatenate(([0], np.cumsum(sizes))),
+                               np.repeat(g.run, made), g.alphabet_size)
+
+
+# multiplier of the rule hash that _is_pruned compares rules by
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _is_pruned(g: Grammar, row: np.ndarray, sym: np.ndarray) -> bool:
+    """True if prune_slp would return g unchanged: every rule but the
+    start is referenced by a later one, so all are reachable, none is a
+    chain, and no two rules are equal.  Rules are compared by a 64-bit
+    hash, so two different rules can make it answer False, which costs
+    only time."""
+    ent, ptr, run = g.ent, g.ptr, g.run
+    m = len(g)
+    back = ent[sym & (ent > 0) & (ent < row)]
+    if np.count_nonzero(np.bincount(back, minlength=m)[1:]) < m - 1:
+        return False
+    lengths = np.diff(ptr)
+    if (ent[ptr[:-1][~run & (lengths == 1)]] > 0).any():
+        return False
+    # hash of a rule: its kind, length and entries e_0..e_k-1 as
+    # (kind + 2 k) + sum of e_j X^(j+1), at X = _MIX modulo 2^64
+    weight = np.cumprod(np.full(int(lengths.max(initial=0)), _MIX))
+    terms = ent.view(np.uint64) * weight[np.arange(len(ent)) - ptr[row - 1]]
+    h = np.zeros(m, dtype=np.uint64)
+    full = lengths > 0
+    h[full] = np.add.reduceat(terms, ptr[:-1][full])
+    h = np.sort(h + (2 * lengths + run).astype(np.uint64))
+    return not (h[1:] == h[:-1]).any()
+
+
+def _check_bytes(g: Grammar, row: np.ndarray, sym: np.ndarray,
+                 alive: np.ndarray) -> None:
+    """Reject a terminal below -256 in the highest live rule holding one."""
+    bad = sym & (g.ent < -MAX_ALPHABET) & alive[row]
+    if bad.any():
+        j = int(row[bad].max())
+        s = int(g.ent[bad & (row == j)][0])
+        raise GrammarError(f"rule {j}: terminal {s} is not a byte")
 
 
 def prune_slp(g: Grammar) -> Grammar:
     """Drop unreachable rules, collapse unary chains, merge equal rhs.
 
     Idempotent: a second application returns an identical grammar, and a
-    grammar that needs no change comes back with the same rule objects.
+    grammar that needs no change is returned as it is.  Numpy passes
+    recognize that case; any other takes one Python pass over the rules'
+    entries top down for reachability and one bottom up for the rest,
+    so a left comb costs no more than a flat grammar.
     """
-    rules = g.rules
-    if not rules:
+    m = len(g)
+    if not m:
         return Grammar([], g.alphabet_size)
-    m = len(rules)
+    row = g.rows()
+    sym = g.symbol_mask()
+    if _is_pruned(g, row, sym):
+        _check_bytes(g, row, sym, np.ones(m + 1, dtype=bool))
+        return g
+    ent, ptr, run = g.ent.tolist(), g.ptr.tolist(), g.run.tolist()
     # reachability top down, one rule at a time: a numpy sweep would take
     # a step per grammar level, and a left comb has one level per rule
     alive = bytearray(m + 1)
     alive[m] = 1
     for j in range(m, 0, -1):
         if alive[j]:
-            rule = rules[j - 1]
-            for s in rule.rhs if isinstance(rule, SeqRule) else (rule.base,):
+            a = ptr[j - 1]
+            for s in ent[a:a + 1 if run[j - 1] else ptr[j]]:
                 if s > 0:
                     alive[s] = 1
-                elif s < -MAX_ALPHABET:
-                    raise GrammarError(f"rule {j}: terminal {s} is not a byte")
+    _check_bytes(g, row, sym, np.frombuffer(alive, dtype=bool))
     # new id of every rule; the last 256 slots give each terminal itself
     remap = [0] * (m + 1) + list(range(-MAX_ALPHABET, 0))
     get = remap.__getitem__
-    consed: list[SeqRule | RunRule] = []
     seen: dict = {}
-    for i, rule in enumerate(rules, start=1):
-        if not alive[i]:
-            continue
-        if isinstance(rule, SeqRule):
-            rhs = tuple(map(get, rule.rhs))
+    out: list[int] = []
+    sizes: list[int] = []
+    runs: list[bool] = []
+    for i in compress(range(1, m + 1), alive[1:]):
+        a = ptr[i - 1]
+        if run[i - 1]:
+            rhs = (get(ent[a]), ent[a + 1])
+            key = (None,) + rhs  # unlike any sequence's rhs
+        else:
+            rhs = key = tuple(map(get, ent[a:ptr[i]]))
             if len(rhs) == 1 and rhs[0] > 0:
                 remap[i] = rhs[0]
                 continue
-            key = rhs
-            if rhs != rule.rhs:
-                rule = SeqRule(rhs)
-        else:
-            base = get(rule.base)
-            if base != rule.base:
-                rule = RunRule(base, rule.exponent)
-            key = rule
         found = seen.get(key)
         if found is not None:
             remap[i] = found
             continue
-        consed.append(rule)
-        remap[i] = seen[key] = len(consed)
+        out += rhs
+        sizes.append(len(rhs))
+        runs.append(run[i - 1])
+        remap[i] = seen[key] = len(sizes)
     # collapsing or deduplicating the start rule cannot leave later
     # rules behind: everything it references was consed before it
-    del consed[remap[m]:]
-    return Grammar(consed, g.alphabet_size)
+    del sizes[remap[m]:], runs[remap[m]:]
+    ptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    return Grammar.from_arrays(np.array(out[:ptr[-1]], dtype=np.int64), ptr,
+                               np.array(runs, dtype=bool), g.alphabet_size)

@@ -421,6 +421,18 @@ def test_recompress_records_phase_seconds():
     assert res.records and all(r.seconds > 0 for r in res.records)
 
 
+def test_recompress_splits_phase_seconds():
+    res = recompress(slp_of(b"abracadabra" * 20))
+    for r in res.records:
+        parts = (r.nocc_s + r.pair_count_s + r.partition_s + r.rewrite_s
+                 + r.level_lengths_s)
+        assert parts == pytest.approx(r.seconds)
+        assert r.rewrite_s > 0 and r.level_lengths_s > 0
+        pair_round = r.phase == "pcomp"
+        assert (r.nocc_s > 0, r.pair_count_s > 0, r.partition_s > 0) == (
+            pair_round, pair_round, pair_round)
+
+
 def test_recompress_round_trips():
     rng = random.Random(506)
     texts = [b"a", b"a" * 5000, b"ab" * 700, bytes(range(256)) * 3]

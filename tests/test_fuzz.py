@@ -1,7 +1,8 @@
 """Mutated .lzpf and .slgf files: every input the decoders accept is
 built into a grammar, and every other one is rejected with a typed
 error.  Mutations overwrite 64-bit fields (values at and past 2^63
-included), flip bytes, cut or extend the file."""
+included), flip bytes, cut or extend the file.  The .slgf decoder and
+pruning agree with their rule-object references on every input."""
 
 import random
 import struct
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_rlslp
+from reference import ref_decode, ref_prune
 from rlslp.engine import recompress
 from rlslp.grammar import (MAX_EXPANSION, FormatError, GrammarError,
                            SeqRule, decode_grammar, encode_grammar, expand,
@@ -116,10 +118,18 @@ def test_mutated_lzpf_builds_or_is_rejected(data):
 @given(slgf_inputs())
 def test_mutated_slgf_builds_or_is_rejected(data):
     try:
+        expected = ref_decode(data)
+    except FormatError as exc:
+        expected = str(exc)
+    try:
         g = decode_grammar(data)
-    except FormatError:
+    except FormatError as exc:
+        assert str(exc) == expected
         return
+    assert g.rules == expected.rules
+    assert g.alphabet_size == expected.alphabet_size
     pruned = prune_slp(g)
+    assert pruned.rules == ref_prune(g).rules
     if not g.rules:
         assert pruned.rules == []
         return

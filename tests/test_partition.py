@@ -162,6 +162,17 @@ def test_records_to_tsv_seconds_row_only_when_timed():
     assert "seconds" not in records_to_tsv([untimed])
 
 
+def test_records_to_tsv_phase_parts_only_when_timed():
+    from rlslp.partition import RoundRecord
+    record = RoundRecord(round=1, phase="pcomp", length_after=3,
+                         new_rules=1, seconds=0.5, nocc_s=0.125,
+                         rewrite_s=0.375)
+    assert records_to_tsv([record]).endswith(
+        "1\tpcomp\tseconds\t0.500000\n"
+        "1\tpcomp\tnocc_s\t0.125000\n"
+        "1\tpcomp\trewrite_s\t0.375000\n")
+
+
 def test_partition_side_table_by_rank():
     from rlslp.partition import sides_of
     part = Partition({A: True, B: False, 5: False})
