@@ -414,29 +414,36 @@ def slg_to_slp(g: Grammar) -> Grammar:
     (r1 x2), ..., (r(k-1) xk), each r the rule before, and the last one
     takes the old rule's place.
     """
-    lengths = np.diff(g.ptr)
-    wide = ~g.run & (lengths > 2)
-    if not wide.any():
+    if not (~g.run & (np.diff(g.ptr) > 2)).any():
         return g
-    made = np.where(wide, lengths - 1, 1)
-    new = np.concatenate(([0], np.cumsum(made)))  # new id of every rule
-    row = g.rows()
-    ent = np.where(g.symbol_mask() & (g.ent > 0), new[np.maximum(g.ent, 0)],
-                   g.ent)
-    k = np.arange(len(ent)) - g.ptr[row - 1]  # offset in the rule
-    # entry k >= 1 of a wide rule is the right child of the rule's k-th
-    # binary rule; the left child is x0 or binary rule k - 1
-    pair = wide[row - 1] & (k >= 1)
-    left = np.where(k == 1, np.roll(ent, 1), new[row] - lengths[row - 1] + k)
-    count = np.where(wide[row - 1], 2 * pair, 1)
-    at = np.cumsum(count) - count
-    out = np.empty(int(count.sum()), dtype=np.int64)
-    out[at[count == 1]] = ent[count == 1]
-    out[at[pair]] = left[pair]
-    out[at[pair] + 1] = ent[pair]
-    sizes = np.repeat(np.where(wide, 2, lengths), made)
-    return Grammar.from_arrays(out, np.concatenate(([0], np.cumsum(sizes))),
-                               np.repeat(g.run, made), g.alphabet_size)
+    ent, ptr, run = g.ent.tolist(), g.ptr.tolist(), g.run.tolist()
+    remap = [0] * (len(g) + 1)
+    out: list[int] = []
+    sizes: list[int] = []
+    runs: list[bool] = []
+    for i, is_run in enumerate(run, start=1):
+        a = ptr[i - 1]
+        if is_run:
+            base = ent[a]
+            rhs = [base if base < 0 else remap[base], ent[a + 1]]
+        else:
+            rhs = [s if s < 0 else remap[s] for s in ent[a:ptr[i]]]
+            if len(rhs) > 2:
+                x = rhs[0]
+                for s in rhs[1:-1]:
+                    out += (x, s)
+                    sizes.append(2)
+                    runs.append(False)
+                    x = len(sizes)
+                rhs = [x, rhs[-1]]
+        out += rhs
+        sizes.append(len(rhs))
+        runs.append(is_run)
+        remap[i] = len(sizes)
+    return Grammar.from_arrays(
+        np.array(out, dtype=np.int64),
+        np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+        np.array(runs, dtype=bool), g.alphabet_size)
 
 
 # multiplier of the rule hash that _is_pruned compares rules by

@@ -1,5 +1,5 @@
-"""Rule-object reference versions of the grammar codec, validation and
-pruning.
+"""Rule-object reference versions of the grammar codec, validation,
+binarization and pruning.
 
 These walk `Grammar.rules` one `SeqRule`/`RunRule` at a time, as the
 toolkit did before its grammars were stored as arrays.  The array
@@ -157,3 +157,22 @@ def ref_prune(g: Grammar) -> Grammar:
         remap[i] = seen[key] = len(consed)
     del consed[remap[m]:]
     return Grammar(consed, g.alphabet_size)
+
+
+def ref_slg_to_slp(g: Grammar) -> Grammar:
+    if all(isinstance(r, RunRule) or len(r.rhs) <= 2 for r in g.rules):
+        return g
+    remap: list[int] = [0] * (len(g.rules) + 1)
+    out: list[SeqRule | RunRule] = []
+    for i, rule in enumerate(g.rules, start=1):
+        if isinstance(rule, RunRule):
+            base = rule.base if rule.base < 0 else remap[rule.base]
+            out.append(RunRule(base, rule.exponent))
+        else:
+            rhs = [s if s < 0 else remap[s] for s in rule.rhs]
+            while len(rhs) > 2:
+                out.append(SeqRule((rhs[0], rhs[1])))
+                rhs[:2] = [len(out)]
+            out.append(SeqRule(tuple(rhs)))
+        remap[i] = len(out)
+    return Grammar(out, g.alphabet_size)

@@ -2,9 +2,10 @@
 
 The byte-identity oracle: the pipeline's `.slgf` on the acceptance
 corpus and `recompress`'s `.slgf` of a binarized wide grammar are
-pinned by sha256.  The codec, validation and pruning must agree with
-the rule-object versions in `reference.py` on generated grammars with
-run, wide, dead, chain and duplicate rules, and on broken ones.
+pinned by sha256.  The codec, validation, binarization and pruning
+must agree with the rule-object versions in `reference.py` on generated
+grammars with run, wide, dead, chain and duplicate rules, and on broken
+ones.
 """
 
 import hashlib
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import ref_decode, ref_encode, ref_prune, ref_validate
+from reference import (ref_decode, ref_encode, ref_prune, ref_slg_to_slp,
+                       ref_validate)
 from rlslp.dataset import gen_dataset, load_sample
 from rlslp.engine import recompress
 from rlslp.grammar import (FormatError, Grammar, GrammarError, RunRule,
@@ -138,6 +140,8 @@ def test_arrays_agree_with_rule_objects(g):
     assert data == ref_encode(g)
     check_codec(data)
     assert validate(g) == ref_validate(g)
+    if validate(g).ok:
+        assert slg_to_slp(g).rules == ref_slg_to_slp(g).rules
     if validate(g).ok or "-300" in validate(g).message:
         assert same_grammar(outcome(prune_slp, g), outcome(ref_prune, g))
 
@@ -149,6 +153,17 @@ def test_rules_view_round_trips(g):
     assert back == g
     assert len(back) == len(g.rules)
     assert encode_grammar(back) == encode_grammar(g)
+
+
+def test_binarize_next_to_run_exponents_past_the_rule_count():
+    # exponents are not rule ids: none may be renumbered or looked up
+    for e in EXPONENTS:
+        g = Grammar([SeqRule((-1, -2, -1)), RunRule(1, e),
+                     SeqRule((2, -3, 1, 2))])
+        slp = slg_to_slp(g)
+        assert slp.rules == ref_slg_to_slp(g).rules
+        assert slp.rules[2] == RunRule(2, e)
+        assert validate(slp).ok
 
 
 def test_prune_deep_comb_with_dead_rules_and_chains():
