@@ -21,25 +21,21 @@ only references rules rewritten from lower layers, so each rewrite
 carries the layers forward instead of recomputing them.  The start rule
 is alone in the top layer and is rewritten whole; every other rule
 hands its boundary runs or symbols up to its parents.  Once the level
-string is no longer than the grammar, it replaces the grammar as a
-single rule, and the remaining rounds sweep that one layer.
+string is no longer than the grammar, a round on the grammar costs more
+than one on the string, so the engine materializes the level string and
+the string engine's rounds (`naive.string_rounds`) finish the work with
+the same builder and partition source.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .grammar import MAX_EXPANSION, Grammar, GrammarError, power
-from .partition import (ConvergenceError, PairMaps, Partition,
+from .naive import string_rounds
+from .partition import (ConvergenceError, Laps, PairMaps, Partition,
                         PartitionSource, RecompressResult, RlslpBuilder,
                         RoundRecord, replaced_weight, round_limit, sides_of)
-
-
-def dec(entry: int) -> int:
-    """Decode a working rhs entry known to be a level symbol."""
-    return entry if entry >= -256 else -entry - 256
 
 
 def _enc(syms: np.ndarray) -> np.ndarray:
@@ -160,8 +156,9 @@ class LevelGrammar:
         level string is the text either way.  Unreachable rules would
         otherwise shed dead productions into the output and shift fresh
         symbol ids away from what the reference engine assigns for the
-        same text.  A grammar whose text is longer than 2^63 - 1, which
-        the int64 level lengths cannot hold, is rejected.
+        same text.  A reachable rule with an empty right-hand side, and
+        a grammar whose text is longer than 2^63 - 1, which the int64
+        level lengths cannot hold, are rejected.
         """
         m = len(g)
         ent, ptr = g.ent, g.ptr
@@ -191,6 +188,9 @@ class LevelGrammar:
         lens = np.diff(ptr)
         height = _heights(ptr, ent)
         kept = _reachable(ptr, ent, m).nonzero()[0]
+        empty = kept[lens[kept - 1] == 0]
+        if len(empty):
+            raise GrammarError(f"rule {empty[0]}: empty rhs")
         # a stable sort by height keeps the order topological
         kept = kept[np.argsort(height[kept], kind="stable")]
         remap = np.zeros(len(ptr), dtype=np.int64)
@@ -224,11 +224,6 @@ class LevelGrammar:
             lengths[off + lo + 1:off + hi + 1] = np.add.reduceat(
                 lengths[at[a:b]], ptr[lo:hi] - a)
         return lengths[off:]
-
-    def flattened(self) -> "LevelGrammar":
-        """The level string as a grammar of one rule."""
-        s = _enc(self.level_string())
-        return LevelGrammar(np.array([0, len(s)]), s, [0, 1])
 
     def level_string(self) -> np.ndarray:
         """Materialized level string.
@@ -505,67 +500,21 @@ def pcomp(lg: LevelGrammar, part: Partition, builder: RlslpBuilder
                     builder.add_pairs)
 
 
-def _start_symbol(lg: LevelGrammar) -> int:
-    """Level symbol a start rule of level length 1 expands to."""
-    e = int(lg.ent[lg.ptr[-2]])
-    while e > 0:
-        e = int(lg.ent[lg.ptr[e - 1]])
-    return dec(e)
-
-
-def _compact(lg: LevelGrammar, length: int, size: int) -> LevelGrammar:
-    """The working grammar, or its level string as one rule once that is
-    no longer than the grammar: from then on each round is one sweep of
-    a single layer, in no more space."""
-    if len(lg) > 1 and length <= size:
-        return lg.flattened()
-    return lg
-
-
-class _Laps:
-    """Wall time of one phase, split into RoundRecord's parts."""
-
-    def __init__(self) -> None:
-        self.start = self.last = time.perf_counter()
-        self.spent: dict[str, float] = {}
-
-    def lap(self, part: str) -> None:
-        """Count the time since the last lap towards part."""
-        now = time.perf_counter()
-        self.spent[part] = self.spent.get(part, 0.0) + now - self.last
-        self.last = now
-
-    def times(self) -> dict[str, float]:
-        return dict(self.spent, seconds=self.last - self.start)
-
-
-def _settle(lg: LevelGrammar, laps: _Laps
-            ) -> tuple[LevelGrammar, int, int]:
-    """The rewritten grammar, compacted, its level length and size."""
-    laps.lap("rewrite_s")
-    lengths, size = lg.level_lengths()
-    laps.lap("level_lengths_s")
-    length = int(lengths[-1])
-    lg = _compact(lg, length, size)
-    laps.lap("rewrite_s")
-    return lg, length, size
-
-
 def recompress(slp: Grammar, strategy: str = "mixed", seed: int = 42,
                source: PartitionSource | None = None,
                collect_trace: bool = False) -> RecompressResult:
     """Run-length grammar of the text a grammar expands to.
 
-    Alternates run and pair replacement on the working grammar until the
-    level string is a single symbol; that symbol, wrapped if needed,
-    becomes the start of the accumulated output grammar.
+    Alternates run and pair replacement on the working grammar while
+    its level string is longer than the grammar, then on the level
+    string itself until that is a single symbol; that symbol, wrapped
+    if needed, becomes the start of the accumulated output grammar.
     """
     if not len(slp):
         raise GrammarError("cannot recompress an empty grammar")
     lg = LevelGrammar.from_slp(slp)
     lengths, size = lg.level_lengths()
     length = int(lengths[-1])
-    lg = _compact(lg, length, size)
     if source is None:
         source = PartitionSource(strategy, seed)
     builder = RlslpBuilder()
@@ -573,39 +522,40 @@ def recompress(slp: Grammar, strategy: str = "mixed", seed: int = 42,
     trace: list[np.ndarray] | None = [] if collect_trace else None
     limit = round_limit(length)
     round_no = 0
-    while length > 1:
+    while length > 1 and length > size:
         if round_no >= limit:
             raise ConvergenceError(f"no convergence within {limit} phases")
-        laps = _Laps()
+        laps = Laps()
         before = builder.productions
-        lg = bcomp(lg, builder)
-        lg, length, size = _settle(lg, laps)
-        records.append(RoundRecord(round_no, "bcomp", length,
+        weights = {}
+        if round_no % 2 == 0:
+            phase = "bcomp"
+            lg = bcomp(lg, builder)
+        else:
+            phase = "pcomp"
+            occ = compute_nocc(lg)
+            laps.lap("nocc_s")
+            pairs, alphabet = collect_pair_frequencies(lg, occ)
+            laps.lap("pair_count_s")
+            part = source.next_partition(pairs, alphabet)
+            weights = {"replaced_weight": replaced_weight(pairs, part),
+                       "total_weight": pairs.total_weight()}
+            laps.lap("partition_s")
+            lg = pcomp(lg, part, builder)
+        laps.lap("rewrite_s")
+        lengths, size = lg.level_lengths()
+        laps.lap("level_lengths_s")
+        length = int(lengths[-1])
+        records.append(RoundRecord(round_no, phase, length,
                                    builder.productions - before,
-                                   work_size=size, **laps.times()))
+                                   work_size=size, **weights,
+                                   **laps.times()))
         if trace is not None:
             trace.append(lg.level_string())
         round_no += 1
-        if length <= 1:
-            break
-        laps = _Laps()
-        occ = compute_nocc(lg)
-        laps.lap("nocc_s")
-        pairs, alphabet = collect_pair_frequencies(lg, occ)
-        laps.lap("pair_count_s")
-        part = source.next_partition(pairs, alphabet)
-        replaced = replaced_weight(pairs, part)
-        laps.lap("partition_s")
-        before = builder.productions
-        lg = pcomp(lg, part, builder)
-        lg, length, size = _settle(lg, laps)
-        records.append(RoundRecord(round_no, "pcomp", length,
-                                   builder.productions - before,
-                                   replaced_weight=replaced,
-                                   total_weight=pairs.total_weight(),
-                                   work_size=size, **laps.times()))
-        if trace is not None:
-            trace.append(lg.level_string())
-        round_no += 1
-    grammar = builder.finish(_start_symbol(lg))
-    return RecompressResult(grammar, records, source.log, trace)
+    s = lg.level_string()
+    del lg, lengths  # free the grammar for the string rounds
+    final = string_rounds(s, round_no, builder, source, records, trace,
+                          limit)
+    return RecompressResult(builder.finish(final), records, source.log,
+                            trace)

@@ -4,14 +4,17 @@ Works directly on the uncompressed text, one int64 symbol per position,
 alternating run replacement and pair replacement until a single symbol
 remains.  Linear space in the text length; exists as the oracle and
 baseline for the grammar-level engine, which must produce the same
-level strings round for round when given the same partitions.
+level strings round for round when given the same partitions.  Its
+rounds also finish the grammar-level engine's work: once the level
+string is no longer than the working grammar, that engine hands the
+string to `string_rounds`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .partition import (ConvergenceError, PairMaps, PartitionSource,
+from .partition import (ConvergenceError, Laps, PairMaps, PartitionSource,
                         RecompressResult, RlslpBuilder, RoundRecord,
                         replaced_weight, round_limit, sides_of)
 
@@ -63,6 +66,47 @@ def pcomp_string(s: np.ndarray, part, builder: RlslpBuilder) -> np.ndarray:
     return out[keep]
 
 
+def string_rounds(s: np.ndarray, round_no: int, builder: RlslpBuilder,
+                  source: PartitionSource, records: list[RoundRecord],
+                  trace: list | None, limit: int) -> int:
+    """Run recompression rounds on level string s, starting at round
+    round_no (even: run replacement, odd: pair replacement), until one
+    symbol is left; return that symbol.
+
+    Each round appends its RoundRecord to records, and its level string
+    to trace unless that is None.  round_no and limit count the rounds
+    of the whole recompression, also those a caller ran before handing
+    over s.
+    """
+    while len(s) > 1:
+        if round_no >= limit:
+            raise ConvergenceError(f"no convergence within {limit} phases")
+        laps = Laps()
+        before = builder.productions
+        weights = {}
+        if round_no % 2 == 0:
+            phase = "bcomp"
+            s = bcomp_string(s, builder)
+        else:
+            phase = "pcomp"
+            pairs, alphabet = pair_stats_string(s)
+            laps.lap("pair_count_s")
+            part = source.next_partition(pairs, alphabet)
+            weights = {"replaced_weight": replaced_weight(pairs, part),
+                       "total_weight": pairs.total_weight()}
+            laps.lap("partition_s")
+            s = pcomp_string(s, part, builder)
+        laps.lap("rewrite_s")
+        records.append(RoundRecord(round_no, phase, len(s),
+                                   builder.productions - before,
+                                   work_size=len(s), **weights,
+                                   **laps.times()))
+        if trace is not None:
+            trace.append(s.copy())
+        round_no += 1
+    return int(s[0])
+
+
 def recompress_string(text: bytes, source: PartitionSource | None = None,
                       strategy: str = "mixed", seed: int = 42,
                       collect_trace: bool = False) -> RecompressResult:
@@ -72,34 +116,9 @@ def recompress_string(text: bytes, source: PartitionSource | None = None,
     if source is None:
         source = PartitionSource(strategy, seed)
     builder = RlslpBuilder()
-    s = text_to_levels(text)
-    limit = round_limit(len(s))
     records: list[RoundRecord] = []
     trace: list[np.ndarray] | None = [] if collect_trace else None
-    round_no = 0
-    while len(s) > 1:
-        if round_no >= limit:
-            raise ConvergenceError(f"no convergence within {limit} phases")
-        before = builder.productions
-        s = bcomp_string(s, builder)
-        records.append(RoundRecord(round_no, "bcomp", len(s),
-                                   builder.productions - before))
-        if trace is not None:
-            trace.append(s.copy())
-        round_no += 1
-        if len(s) <= 1:
-            break
-        pairs, alphabet = pair_stats_string(s)
-        part = source.next_partition(pairs, alphabet)
-        before = builder.productions
-        replaced = replaced_weight(pairs, part)
-        s = pcomp_string(s, part, builder)
-        records.append(RoundRecord(round_no, "pcomp", len(s),
-                                   builder.productions - before,
-                                   replaced_weight=replaced,
-                                   total_weight=pairs.total_weight()))
-        if trace is not None:
-            trace.append(s.copy())
-        round_no += 1
-    grammar = builder.finish(int(s[0]))
-    return RecompressResult(grammar, records, source.log, trace)
+    final = string_rounds(text_to_levels(text), 0, builder, source, records,
+                          trace, round_limit(len(text)))
+    return RecompressResult(builder.finish(final), records, source.log,
+                            trace)

@@ -11,6 +11,7 @@ order rather than in traversal order.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,16 +242,33 @@ class RoundRecord:
     new_rules: int
     replaced_weight: int = 0
     total_weight: int = 0
-    work_size: int = 0  # working grammar size, grammar engine only
+    work_size: int = 0  # working grammar size; len(s) in string rounds
     seconds: float = 0.0  # wall time of the phase, the sum of the parts:
-    nocc_s: float = 0.0  # occurrence counts
+    nocc_s: float = 0.0  # occurrence counts (grammar rounds)
     pair_count_s: float = 0.0  # pair frequencies
     partition_s: float = 0.0  # choosing the partition, replaced weight
-    rewrite_s: float = 0.0  # bcomp or pcomp, and flattening
+    rewrite_s: float = 0.0  # bcomp or pcomp
     level_lengths_s: float = 0.0  # level lengths of the new grammar
 
     TIMES = ("seconds", "nocc_s", "pair_count_s", "partition_s",
              "rewrite_s", "level_lengths_s")
+
+
+class Laps:
+    """Wall time of one phase, split into RoundRecord's parts."""
+
+    def __init__(self) -> None:
+        self.start = self.last = time.perf_counter()
+        self.spent: dict[str, float] = {}
+
+    def lap(self, part: str) -> None:
+        """Count the time since the last lap towards part."""
+        now = time.perf_counter()
+        self.spent[part] = self.spent.get(part, 0.0) + now - self.last
+        self.last = now
+
+    def times(self) -> dict[str, float]:
+        return dict(self.spent, seconds=self.last - self.start)
 
 
 def records_to_tsv(records: list[RoundRecord]) -> str:

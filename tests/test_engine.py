@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from conftest import (mutated_text, random_rlslp, random_seq_grammar,
                       random_text)
-from rlslp.engine import (LevelGrammar, _enc, bcomp,
-                          collect_pair_frequencies, compute_nocc, dec, pcomp,
+from rlslp.engine import (LevelGrammar, _dec, _enc, bcomp,
+                          collect_pair_frequencies, compute_nocc, pcomp,
                           recompress)
 from rlslp.grammar import (Grammar, GrammarError, RunRule, SeqRule,
                            decode_grammar, expand, expansion_lengths,
@@ -46,15 +46,15 @@ def slp_of(t: bytes) -> Grammar:
 
 def test_enc_dec_frozen():
     assert _enc(np.array([A, 1, 5])).tolist() == [A, -257, -261]
-    assert dec(-257) == 1
-    assert dec(A) == A
+    assert _dec(np.array([-257])).tolist() == [1]
+    assert _dec(np.array([A])).tolist() == [A]
 
 
 @given(st.one_of(st.integers(-256, -1), st.integers(1, 10**9)))
 def test_enc_dec_round_trip(sym):
     entry = int(_enc(np.array([sym]))[0])
     assert entry < 0
-    assert dec(entry) == sym
+    assert _dec(np.array([entry])).tolist() == [sym]
 
 
 # --- level grammar import ----------------------------------------------
@@ -126,9 +126,6 @@ def test_level_string_matches_expansion():
         lg = LevelGrammar.from_slp(g)
         assert lg.level_string().tolist() == text_to_levels(
             expand(g)).tolist()
-        flat = lg.flattened()
-        assert len(flat) == 1
-        assert flat.level_string().tolist() == lg.level_string().tolist()
 
 
 def test_level_lengths_frozen():
@@ -409,6 +406,13 @@ def test_recompress_empty_grammar_rejected():
         recompress(Grammar([]))
 
 
+def test_recompress_empty_reachable_rule_rejected():
+    for g in (Grammar([SeqRule(())]),
+              Grammar([SeqRule(()), SeqRule((1, -1))])):
+        with pytest.raises(GrammarError, match="rule 1: empty rhs"):
+            recompress(g)
+
+
 def test_recompress_no_convergence_is_typed(monkeypatch):
     import rlslp.engine
     monkeypatch.setattr(rlslp.engine, "round_limit", lambda n: 1)
@@ -421,16 +425,45 @@ def test_recompress_records_phase_seconds():
     assert res.records and all(r.seconds > 0 for r in res.records)
 
 
+def _grammar_rounds(records) -> int:
+    """How many leading rounds ran on the working grammar: up to the
+    first whose level string is no longer than the grammar, for an input
+    whose level string starts out longer."""
+    return next((i + 1 for i, r in enumerate(records)
+                 if r.length_after <= r.work_size), len(records))
+
+
 def test_recompress_splits_phase_seconds():
     res = recompress(slp_of(b"abracadabra" * 20))
-    for r in res.records:
+    on_grammar = _grammar_rounds(res.records)
+    assert 0 < on_grammar < len(res.records)
+    for i, r in enumerate(res.records):
         parts = (r.nocc_s + r.pair_count_s + r.partition_s + r.rewrite_s
                  + r.level_lengths_s)
         assert parts == pytest.approx(r.seconds)
-        assert r.rewrite_s > 0 and r.level_lengths_s > 0
         pair_round = r.phase == "pcomp"
-        assert (r.nocc_s > 0, r.pair_count_s > 0, r.partition_s > 0) == (
-            pair_round, pair_round, pair_round)
+        assert r.rewrite_s > 0
+        assert (r.pair_count_s > 0, r.partition_s > 0) == (pair_round,
+                                                          pair_round)
+        if i < on_grammar:
+            assert r.level_lengths_s > 0
+            assert (r.nocc_s > 0) == pair_round
+        else:
+            # string rounds count no occurrences and no level lengths
+            assert r.nocc_s == r.level_lengths_s == 0
+
+
+def test_recompress_hands_over_where_string_fits_grammar():
+    g = slp_of(mutated_text(random.Random(510), 30, 3000))
+    lengths, size = LevelGrammar.from_slp(g).level_lengths()
+    assert lengths[-1] > size
+    records = recompress(g).records
+    on_grammar = _grammar_rounds(records)
+    assert 0 < on_grammar < len(records)
+    # grammar rounds carry the grammar size, string rounds len(s)
+    assert all(r.level_lengths_s > 0 for r in records[:on_grammar])
+    assert all(r.work_size == r.length_after and r.level_lengths_s == 0
+               for r in records[on_grammar:])
 
 
 def test_recompress_round_trips():

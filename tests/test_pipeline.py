@@ -277,12 +277,17 @@ def test_cli_stage_commands_chain(tmp_path):
     assert cli.main(["verify", str(final), str(data_path)]) == 0
 
     naive_out = tmp_path / "naive.slgf"
+    rounds = tmp_path / "rounds.tsv"
     assert cli.main(["recompress-naive", str(data_path), str(naive_out),
-                     "--trace-out", str(trace)]) == 0
+                     "--trace-out", str(trace),
+                     "--stats-out", str(rounds)]) == 0
     assert naive_out.read_bytes() == final.read_bytes()
     lines = trace.read_text().strip().split("\n")
     assert lines[0] == "round\tlength"
     assert int(lines[-1].split("\t")[1]) == 1
+    metrics = {line.split("\t")[2]
+               for line in rounds.read_text().splitlines()[1:]}
+    assert {"seconds", "work_size"} <= metrics
 
     exact = tmp_path / "exact.lzpf"
     assert cli.main(["parse-exact", str(data_path), str(exact)]) == 0
