@@ -23,6 +23,11 @@ DEFAULT_BLOCK_SIZE = 50
 
 FP_MOD = (1 << 61) - 1
 
+# text bytes per chunk of the parse's block table: large enough that the
+# per-chunk numpy calls are cheap, small enough that the chunk's arrays
+# stay a few MiB whatever the text length
+_CHUNK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class Phrase:
@@ -89,9 +94,11 @@ def fingerprint(chunk: bytes) -> int:
     return int.from_bytes(chunk, "big") % FP_MOD
 
 
-def _block_fingerprints(text: bytes, block_size: int) -> np.ndarray:
-    """Fingerprints of the full blocks at offsets 0, B, 2B, ..., computed
-    for all blocks at once.
+def _block_fingerprints(text: bytes, block_size: int, start: int = 0,
+                        count: int | None = None) -> np.ndarray:
+    """Fingerprints of the count full blocks at offsets start, start + B,
+    start + 2B, ... (by default every full block from start on), computed
+    for all of them at once and read in place from text.
 
     A block is read as a head of B mod 8 bytes followed by big-endian
     64-bit words, and folded by Horner's rule in base 2^64.  As
@@ -99,13 +106,13 @@ def _block_fingerprints(text: bytes, block_size: int) -> np.ndarray:
     3, and a word reduces to its low 61 bits plus its top 3, so no step
     can overflow uint64.
     """
-    m = len(text) // block_size
+    m = (len(text) - start) // block_size if count is None else count
     words, head = divmod(block_size, 8)
     mod = np.uint64(FP_MOD)
     c3, c8, c58, c61 = (np.uint64(k) for k in (3, 8, 58, 61))
     low58 = np.uint64((1 << 58) - 1)
-    blocks = np.frombuffer(text, dtype=np.uint8,
-                           count=m * block_size).reshape(m, block_size)
+    blocks = np.frombuffer(text, dtype=np.uint8, count=m * block_size,
+                           offset=start).reshape(m, block_size)
     v = np.zeros(m, dtype=np.uint64)
     for col in range(head):
         v = (v << c8) + blocks[:, col]
@@ -118,28 +125,60 @@ def _block_fingerprints(text: bytes, block_size: int) -> np.ndarray:
     return np.where(v >= mod, v - mod, v)
 
 
+def _block_table(text: bytes, block_size: int) -> dict[int, int]:
+    """Offset of the first stride block with each fingerprint.
+
+    Blocks are fingerprinted and deduplicated one chunk of text at a
+    time, so the working arrays are O(_CHUNK_BYTES + distinct blocks),
+    not O(n / B).  A chunk adds only the fingerprints no earlier chunk
+    has, which keeps the first block in the text the winner.
+    """
+    m = len(text) // block_size
+    per_chunk = max(1, _CHUNK_BYTES // block_size)
+    table: dict[int, int] = {}
+    # the table's keys, sorted, ending in a value no fingerprint takes so
+    # that every searchsorted index is in range; on repetitive text most
+    # of every chunk is already held, and filtering it here is cheaper
+    # than looking each fingerprint up in the dict
+    held = np.array([2**64 - 1], dtype=np.uint64)
+    for j in range(0, m, per_chunk):
+        fps, first = np.unique(
+            _block_fingerprints(text, block_size, j * block_size,
+                                min(per_chunk, m - j)),
+            return_index=True)
+        new = held[np.searchsorted(held, fps)] != fps
+        fps = fps[new]
+        table.update(zip(fps.tolist(),
+                         ((first[new] + j) * block_size).tolist()))
+        held = np.insert(held, np.searchsorted(held, fps), fps)
+    return table
+
+
 def _extend_match(text: bytes, src: int, dst: int, start: int) -> int:
     """Length of the common extension of text[src:] and text[dst:] from
-    offset start onward, found by galloping slice comparison."""
+    offset start onward, found by galloping comparison.  Each probe
+    compares text at dst with a memoryview of the source in place;
+    slicing the bytes would copy both sides of every probe."""
     n = len(text)
     k = start
     step = 1 << 10
-    while True:
-        hi = min(step, n - dst - k)
-        if hi <= 0:
-            return k
-        if text[src + k:src + k + hi] == text[dst + k:dst + k + hi]:
-            k += hi
-            step *= 2
-            continue
-        lo = 0
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if text[src + k:src + k + mid] == text[dst + k:dst + k + mid]:
-                lo = mid
-            else:
-                hi = mid
-        return k + lo
+    with memoryview(text) as view:
+        while True:
+            hi = min(step, n - dst - k)
+            if hi <= 0:
+                return k
+            if text.startswith(view[src + k:src + k + hi], dst + k):
+                k += hi
+                step *= 2
+                continue
+            lo = 0
+            while lo + 1 < hi:
+                mid = (lo + hi) // 2
+                if text.startswith(view[src + k:src + k + mid], dst + k):
+                    lo = mid
+                else:
+                    hi = mid
+            return k + lo
 
 
 def parse_bentley_mcilroy(text: bytes, block_size: int = DEFAULT_BLOCK_SIZE
@@ -164,8 +203,7 @@ def parse_bentley_mcilroy(text: bytes, block_size: int = DEFAULT_BLOCK_SIZE
         raise ValueError("block size must be at least 2")
     n = len(text)
     blk = block_size
-    fps, first = np.unique(_block_fingerprints(text, blk), return_index=True)
-    table = dict(zip(fps.tolist(), (first * blk).tolist()))
+    table = _block_table(text, blk)
     pow_top = pow(256, blk - 1, FP_MOD)
     last = n - blk  # the last position with a full window
     phrases: list[Phrase] = []
@@ -230,10 +268,20 @@ _PAIR = struct.Struct("<QQ")
 
 
 def encode_factorization(fz: Factorization) -> bytes:
+    """LZPF bytes of fz; ParseError names a field that does not fit in
+    an unsigned 64-bit integer."""
+    if not 0 <= fz.text_length < 1 << 64:
+        raise ParseError(f"text length {fz.text_length} out of range "
+                         "for LZPF")
     out = bytearray(_LZ_HEADER.pack(LZ_MAGIC, LZ_VERSION, fz.text_length,
                                     len(fz.phrases)))
-    for ph in fz.phrases:
-        out += _PAIR.pack(ph.pos, ph.length)
+    try:
+        for ph in fz.phrases:
+            out += _PAIR.pack(ph.pos, ph.length)
+    except struct.error:
+        idx = (len(out) - _LZ_HEADER.size) // _PAIR.size
+        raise ParseError(f"phrase {idx + 1}: ({ph.pos}, {ph.length}) out of "
+                         "range for LZPF") from None
     return bytes(out)
 
 
@@ -247,10 +295,11 @@ def decode_factorization_bytes(data: bytes) -> Factorization:
         raise FormatError(f"unsupported version {version}")
     if len(data) != _LZ_HEADER.size + 16 * f:
         raise FormatError("phrase table size mismatch")
-    phrases = []
-    pos = _LZ_HEADER.size
-    for _ in range(f):
-        p, length = _PAIR.unpack_from(data, pos)
-        pos += 16
-        phrases.append(Phrase(p, length))
+    table = np.frombuffer(data, dtype="<u8", count=2 * f,
+                          offset=_LZ_HEADER.size).reshape(f, 2)
+    # literals share the parser's objects; a literal past 255 keeps its
+    # own Phrase so that lz_to_slg reports it
+    phrases = [_LITERALS[p] if length == 0 and p < 256 else Phrase(p, length)
+               for p, length in zip(table[:, 0].tolist(),
+                                    table[:, 1].tolist())]
     return Factorization(phrases, n)

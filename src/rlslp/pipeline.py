@@ -5,6 +5,10 @@ then grammar-level recompression; on request a fifth, verify, checks
 that the output expands back to the input.  Each stage is timed and its
 allocation peak recorded, so engine comparisons can be made without the
 input text buffer polluting the numbers.
+
+Only the parse reads the text.  The pipeline drops it once the parse
+returns, so the later stages run in memory that tracks the grammar, not
+the text, and verify streams the input file from disk.
 """
 
 from __future__ import annotations
@@ -153,6 +157,13 @@ def _first_mismatch(chunks: Iterable[bytes], read: Callable[[int], bytes]
     return None
 
 
+def _first_mismatch_in_file(chunks: Iterable[bytes], text_path: str | Path
+                            ) -> int | None:
+    """_first_mismatch of the chunks against a file, read as a stream."""
+    with open(text_path, "rb") as fh:
+        return _first_mismatch(chunks, fh.read)
+
+
 def verify_expansion(g: Grammar, text: bytes) -> int | None:
     """First mismatch offset between expand(g) and text, None if equal."""
     return _first_mismatch(iter_expansion(g), io.BytesIO(text).read)
@@ -164,8 +175,7 @@ def verify_files(grammar_path: str | Path, text_path: str | Path
     from .grammar import decode_grammar
 
     g = decode_grammar(Path(grammar_path).read_bytes())
-    with open(text_path, "rb") as fh:
-        offset = _first_mismatch(iter_expansion(g), fh.read)
+    offset = _first_mismatch_in_file(iter_expansion(g), text_path)
     return offset is None, offset
 
 
@@ -189,7 +199,8 @@ def run_pipeline(input_path: str | Path, output_path: str | Path,
     Writes the grammar to output_path (or the factorization, when only
     the parse stage is selected) once every stage, and the verification
     if asked for, has succeeded, and returns the stats report; the
-    caller persists the report wherever it wants it.
+    caller persists the report wherever it wants it.  The text is held
+    only until the parse returns; verification reads input_path again.
     """
     cfg = cfg or PipelineConfig()
     input_path = Path(input_path)
@@ -204,11 +215,12 @@ def run_pipeline(input_path: str | Path, output_path: str | Path,
     fz = run_stage(report, "parse_bm",
                    lambda: parse_bentley_mcilroy(text, cfg.block_size),
                    profile=prof)
+    del text
     report.counts["phrases"] = len(fz.phrases)
     if cfg.lz_only:
         if cfg.verify:
-            _verify_stage(report, lambda: _first_mismatch(
-                [decode_factorization(fz)], io.BytesIO(text).read), prof)
+            _verify_stage(report, lambda: _first_mismatch_in_file(
+                [decode_factorization(fz)], input_path), prof)
         write_atomic(output_path, encode_factorization(fz))
         return report
     if cfg.keep_intermediates:
@@ -235,7 +247,7 @@ def run_pipeline(input_path: str | Path, output_path: str | Path,
     data = encode_grammar(result.grammar)
 
     if cfg.verify:
-        _verify_stage(report,
-                      lambda: verify_expansion(result.grammar, text), prof)
+        _verify_stage(report, lambda: _first_mismatch_in_file(
+            iter_expansion(result.grammar), input_path), prof)
     write_atomic(output_path, data)
     return report

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mutated_text, random_text
+from rlslp import lz
 from rlslp.dataset import gen_dataset, load_sample
 from rlslp.grammar import FormatError
 from rlslp.lz import (Factorization, ParseError, Phrase,
                       decode_factorization, decode_factorization_bytes,
                       encode_factorization, factorization_stats,
                       parse_bentley_mcilroy, parse_exact_lz77)
+from rlslp.slg import lz_to_slg
 
 
 def phrases(fz):
@@ -145,6 +147,32 @@ def test_codec_round_trip():
         assert back.text_length == fz.text_length
 
 
+def test_codec_shares_literal_objects():
+    fz = parse_bentley_mcilroy(b"abcabcabcabcxyz", 3)
+    back = decode_factorization_bytes(encode_factorization(fz))
+    assert back.phrases == fz.phrases
+    lits = [p for p in back.phrases if p.length == 0]
+    assert lits and all(p is lz._LITERALS[p.pos] for p in lits)
+    # a literal past 255 decodes to its own phrase, which lz_to_slg rejects
+    bad = decode_factorization_bytes(encode_factorization(
+        Factorization([Phrase(97, 0), Phrase(256, 0)], 2)))
+    assert bad.phrases == [Phrase(97, 0), Phrase(256, 0)]
+    with pytest.raises(ParseError, match="phrase 2: literal 256 out of range"):
+        lz_to_slg(bad)
+
+
+@pytest.mark.parametrize("fz, field", [
+    (Factorization([Phrase(1, -2)], 3), "phrase 1: (1, -2)"),
+    (Factorization([Phrase(97, 0), Phrase(2**64, 0)], 2),
+     "phrase 2: (18446744073709551616, 0)"),
+    (Factorization([Phrase(97, 0)], -1), "text length -1"),
+])
+def test_encode_rejects_fields_past_u64(fz, field):
+    with pytest.raises(ParseError) as exc:
+        encode_factorization(fz)
+    assert str(exc.value).startswith(field)
+
+
 def test_codec_rejects_malformed():
     blob = encode_factorization(parse_exact_lz77(b"ab"))
     with pytest.raises(FormatError):
@@ -241,6 +269,33 @@ def test_bm_matches_reference_property(t, block_size):
         reference_parse(t, block_size)
 
 
+def test_bm_matches_reference_across_chunks(monkeypatch):
+    # chunks of three blocks put many chunk edges in every text, so the
+    # first block must win across chunks of the table, not just within one
+    rng = random.Random(78)
+    texts = [
+        mutated_text(rng, base_len=3000, total_len=90000),
+        bytes(rng.getrandbits(8) for _ in range(70000)),
+        b"a" * 80000,
+    ]
+    for t in texts:
+        for blk in (2, 8, 50, 61, 500, 2047, 2048, 2049):
+            monkeypatch.setattr(lz, "_CHUNK_BYTES", 3 * blk)
+            assert phrases(parse_bentley_mcilroy(t, blk)) == \
+                reference_parse(t, blk), blk
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2), max_size=400).map(bytes),
+       st.sampled_from([2, 3, 5, 8, 9, 16, 64]),
+       st.integers(1, 4))
+def test_bm_matches_reference_across_chunks_property(t, block_size, blocks):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lz, "_CHUNK_BYTES", blocks * block_size)
+        assert phrases(parse_bentley_mcilroy(t, block_size)) == \
+            reference_parse(t, block_size)
+
+
 @pytest.fixture(scope="module")
 def acceptance_corpus():
     return gen_dataset(load_sample(), 4 << 20, mutation_rate=1e-5, seed=21)
@@ -271,3 +326,17 @@ def test_bm_parse_memory_bounded(acceptance_corpus):
         tracemalloc.stop()
     assert decode_factorization(fz) == acceptance_corpus
     assert peak <= 2 * len(acceptance_corpus)
+
+
+def test_bm_parse_peak_does_not_grow_with_text():
+    # the block table is built one chunk at a time, so on a repetitive
+    # text the traced peak is the chunk's arrays plus the distinct
+    # blocks, not a fingerprint per stride block of the whole text
+    text = gen_dataset(load_sample(), 16 << 20, mutation_rate=1e-5, seed=21)
+    tracemalloc.start()
+    try:
+        parse_bentley_mcilroy(text, 50)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * len(text)
