@@ -1,20 +1,21 @@
 """LZ77-style factorizations: an exact greedy parser used as an oracle,
 and the block-fingerprint approximate parser used by the pipeline.
 
-A factorization is a list of phrases (p, l).  l = 0 marks a literal and
-p is then the byte value; l >= 1 copies l bytes starting at 1-based text
-position p, where p points strictly before the phrase (sources may
-overlap the phrase itself, as usual for LZ77).
+A factorization is a list of phrases (p, l), held as two int64 arrays
+`pos` and `length`.  l = 0 marks a literal and p is then the byte value;
+l >= 1 copies l bytes from 1-based text position p, which points strictly
+before the phrase (sources may overlap the phrase itself, as in LZ77).
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grammar import FormatError
+from .grammar import MAX_EXPANSION, FormatError
 
 LZ_MAGIC = b"LZPF"
 LZ_VERSION = 1
@@ -28,6 +29,9 @@ FP_MOD = (1 << 61) - 1
 # stay a few MiB whatever the text length
 _CHUNK_BYTES = 1 << 20
 
+# length of a match extension's first probe: most extensions are short
+_GALLOP_START = 8
+
 
 @dataclass(frozen=True)
 class Phrase:
@@ -35,15 +39,34 @@ class Phrase:
     length: int  # 0 for literals
 
 
-# phrases are immutable, so every literal of one byte value can share
-# one object: the scan then allocates nothing per literal
-_LITERALS = tuple(Phrase(byte, 0) for byte in range(256))
-
-
-@dataclass
 class Factorization:
-    phrases: list[Phrase]
-    text_length: int
+    """A factorization as arrays (see the module docstring).  From
+    phrases, a field in [2^63, 2^64) keeps its bits, as LZPF reads it."""
+
+    def __init__(self, phrases: list[Phrase], text_length: int) -> None:
+        for k, ph in enumerate(phrases, start=1):
+            if not (-2**63 <= ph.pos < 2**64 and -2**63 <= ph.length < 2**64):
+                raise ParseError(f"phrase {k}: ({ph.pos}, {ph.length}) does "
+                                 "not fit in 64 bits")
+        table = np.array([(p.pos % 2**64, p.length % 2**64) for p in phrases],
+                         dtype=np.uint64).reshape(-1, 2).view(np.int64)
+        self.pos, self.length, self.text_length = *table.T, text_length
+
+    @classmethod
+    def from_arrays(cls, pos: np.ndarray, length: np.ndarray,
+                    text_length: int) -> "Factorization":
+        """The factorization of these arrays, kept as they are."""
+        fz = cls.__new__(cls)
+        fz.pos, fz.length, fz.text_length = pos, length, text_length
+        return fz
+
+    def __len__(self) -> int:
+        return len(self.pos)
+
+    @property
+    def phrases(self) -> list[Phrase]:
+        """The phrases as objects, built anew on every use."""
+        return list(map(Phrase, self.pos.tolist(), self.length.tolist()))
 
 
 class ParseError(ValueError):
@@ -161,7 +184,7 @@ def _extend_match(text: bytes, src: int, dst: int, start: int) -> int:
     slicing the bytes would copy both sides of every probe."""
     n = len(text)
     k = start
-    step = 1 << 10
+    step = _GALLOP_START
     with memoryview(text) as view:
         while True:
             hi = min(step, n - dst - k)
@@ -206,56 +229,76 @@ def parse_bentley_mcilroy(text: bytes, block_size: int = DEFAULT_BLOCK_SIZE
     table = _block_table(text, blk)
     pow_top = pow(256, blk - 1, FP_MOD)
     last = n - blk  # the last position with a full window
-    phrases: list[Phrase] = []
-    i = 0
+    pos, lens = array("q"), array("q")
+    i = lit = 0  # the literals since the last match start at lit
     h = fingerprint(text[:blk])
     while i <= last:
         src = table.get(h)
         if (src is not None and src + blk <= i
                 and text[src:src + blk] == text[i:i + blk]):
             length = _extend_match(text, src, i, blk)
-            phrases.append(Phrase(src + 1, length))
-            i += length
+            pos.extend(text[lit:i])
+            lens.extend(bytes(i - lit))
+            pos.append(src + 1)
+            lens.append(length)
+            i = lit = i + length
             h = fingerprint(text[i:i + blk])
         else:
-            phrases.append(_LITERALS[text[i]])
             if i < last:
                 h = ((h - text[i] * pow_top) * 256 + text[i + blk]) % FP_MOD
             i += 1
-    phrases.extend(_LITERALS[byte] for byte in text[i:])
-    return Factorization(phrases, n)
+    pos.extend(text[lit:])
+    lens.extend(bytes(n - lit))
+    return Factorization.from_arrays(np.frombuffer(pos, dtype=np.int64),
+                                     np.frombuffer(lens, dtype=np.int64), n)
+
+
+def check_factorization(fz: Factorization) -> None:
+    """ParseError for the first bad phrase (a literal outside 0..255, a
+    negative length, a source past the prefix), then for an expansion
+    other than fz.text_length or past 2^63 - 1."""
+    pos, lens = fz.pos, fz.length
+    span = np.where(lens == 0, 1, lens)
+    # float sums clear all but near-limit texts, which are summed again
+    # in Python integers
+    if np.abs(span, dtype=np.float64).sum() >= 2.0 ** 62:
+        span = span.astype(object)
+    before = np.cumsum(span) - span
+    bad = np.flatnonzero(np.where(lens == 0, (pos < 0) | (pos > 255),
+                                  (span < 0) | (pos < 1) | (pos > before)))
+    if len(bad):
+        k = int(bad[0])
+        p, length = int(pos[k]), int(lens[k])
+        if length == 0:
+            raise ParseError(f"phrase {k + 1}: literal {p} out of range")
+        if length < 0:
+            raise ParseError(f"phrase {k + 1}: negative length {length}")
+        raise ParseError(f"phrase {k + 1}: source {p} beyond prefix")
+    total = int(span.sum())
+    if total != fz.text_length:
+        raise ParseError(f"phrases expand to {total} bytes, "
+                         f"header promised {fz.text_length}")
+    if total > MAX_EXPANSION:
+        raise ParseError(f"text of {total} bytes exceeds 2^63-1")
 
 
 def decode_factorization(fz: Factorization) -> bytes:
-    """Reconstruct the text, validating every phrase reference."""
+    """The text of fz; ParseError if fz fails check_factorization."""
+    check_factorization(fz)
     out = bytearray()
-    for idx, ph in enumerate(fz.phrases):
-        if ph.length == 0:
-            if not 0 <= ph.pos <= 255:
-                raise ParseError(f"phrase {idx + 1}: literal {ph.pos} out of range")
-            out.append(ph.pos)
-            continue
-        if ph.pos < 1 or ph.pos > len(out):
-            raise ParseError(
-                f"phrase {idx + 1}: source {ph.pos} not inside the {len(out)} "
-                "bytes decoded so far")
-        src = ph.pos - 1
-        remaining = ph.length
-        while remaining > 0:
-            avail = len(out) - src
-            take = min(avail, remaining)
-            out += out[src:src + take]
-            src += take
-            remaining -= take
-    if len(out) != fz.text_length:
-        raise ParseError(
-            f"decoded {len(out)} bytes, header promised {fz.text_length}")
+    for p, length in zip(fz.pos.tolist(), fz.length.tolist()):
+        if length == 0:
+            out.append(p)
+        else:
+            # an overlapping source repeats with the period of its distance
+            piece = out[p - 1:p - 1 + length]
+            out += (piece * -(-length // len(piece)))[:length]
     return bytes(out)
 
 
 def factorization_stats(fz: Factorization) -> dict:
     """Phrase count, text length and the compression ratio n/f."""
-    f = len(fz.phrases)
+    f = len(fz)
     n = fz.text_length
     return {"phrases": f, "text_length": n,
             "ratio": round(n / f, 3) if f else 0.0}
@@ -264,28 +307,25 @@ def factorization_stats(fz: Factorization) -> dict:
 # Serialization ("LZPF").
 
 _LZ_HEADER = struct.Struct("<4sBQQ")
-_PAIR = struct.Struct("<QQ")
 
 
 def encode_factorization(fz: Factorization) -> bytes:
-    """LZPF bytes of fz; ParseError names a field that does not fit in
-    an unsigned 64-bit integer."""
+    """LZPF bytes of fz; ParseError names the first negative field, as the
+    format's fields are unsigned."""
     if not 0 <= fz.text_length < 1 << 64:
         raise ParseError(f"text length {fz.text_length} out of range "
                          "for LZPF")
-    out = bytearray(_LZ_HEADER.pack(LZ_MAGIC, LZ_VERSION, fz.text_length,
-                                    len(fz.phrases)))
-    try:
-        for ph in fz.phrases:
-            out += _PAIR.pack(ph.pos, ph.length)
-    except struct.error:
-        idx = (len(out) - _LZ_HEADER.size) // _PAIR.size
-        raise ParseError(f"phrase {idx + 1}: ({ph.pos}, {ph.length}) out of "
-                         "range for LZPF") from None
-    return bytes(out)
+    bad = np.flatnonzero((fz.pos < 0) | (fz.length < 0))
+    if len(bad):
+        k = int(bad[0])
+        raise ParseError(f"phrase {k + 1}: ({fz.pos[k]}, {fz.length[k]}) "
+                         "out of range for LZPF")
+    return (_LZ_HEADER.pack(LZ_MAGIC, LZ_VERSION, fz.text_length, len(fz))
+            + np.stack((fz.pos, fz.length), axis=1, dtype="<i8").tobytes())
 
 
 def decode_factorization_bytes(data: bytes) -> Factorization:
+    """LZPF bytes as read; a field of 2^63 or more reads as negative."""
     if len(data) < _LZ_HEADER.size:
         raise FormatError("truncated header")
     magic, version, n, f = _LZ_HEADER.unpack_from(data, 0)
@@ -295,11 +335,5 @@ def decode_factorization_bytes(data: bytes) -> Factorization:
         raise FormatError(f"unsupported version {version}")
     if len(data) != _LZ_HEADER.size + 16 * f:
         raise FormatError("phrase table size mismatch")
-    table = np.frombuffer(data, dtype="<u8", count=2 * f,
-                          offset=_LZ_HEADER.size).reshape(f, 2)
-    # literals share the parser's objects; a literal past 255 keeps its
-    # own Phrase so that lz_to_slg reports it
-    phrases = [_LITERALS[p] if length == 0 and p < 256 else Phrase(p, length)
-               for p, length in zip(table[:, 0].tolist(),
-                                    table[:, 1].tolist())]
-    return Factorization(phrases, n)
+    table = np.frombuffer(data, dtype="<i8", offset=_LZ_HEADER.size)
+    return Factorization.from_arrays(table[0::2], table[1::2], n)

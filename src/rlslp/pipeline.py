@@ -216,7 +216,7 @@ def run_pipeline(input_path: str | Path, output_path: str | Path,
                    lambda: parse_bentley_mcilroy(text, cfg.block_size),
                    profile=prof)
     del text
-    report.counts["phrases"] = len(fz.phrases)
+    report.counts["phrases"] = len(fz)
     if cfg.lz_only:
         if cfg.verify:
             _verify_stage(report, lambda: _first_mismatch_in_file(

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import compress, repeat
-from operator import attrgetter
 
 import numpy as np
 
 from .engine import _reachable
-from .grammar import (MAX_ALPHABET, MAX_EXPANSION, Grammar, GrammarError,
-                      SeqRule, power)
-from .lz import Factorization, ParseError
+from .grammar import MAX_ALPHABET, Grammar, GrammarError, SeqRule, power
+from .lz import Factorization, check_factorization
 
 # symbol x is stored at index x + _T of the builder's lists: terminals
 # -256..-1 at 0..255, rule r at 256 + r
@@ -337,18 +335,6 @@ class _Root:
                            self._extract(i + 1, end, hi))
 
 
-def _field(phrases: list, name: str) -> np.ndarray:
-    """One field of every phrase as int64.  A value beyond int64 is
-    clamped: it stays outside every range a phrase check accepts."""
-    try:
-        return np.fromiter(map(attrgetter(name), phrases), dtype=np.int64,
-                           count=len(phrases))
-    except OverflowError:
-        return np.fromiter((min(max(v, -2**63), 2**63 - 1)
-                            for v in map(attrgetter(name), phrases)),
-                           dtype=np.int64, count=len(phrases))
-
-
 def lz_to_slg(fz: Factorization) -> Grammar:
     """Straight-line grammar (binary rules) expanding to the parsed text.
 
@@ -357,51 +343,31 @@ def lz_to_slg(fz: Factorization) -> Grammar:
     bulk.  Only the rules reachable from the final root are returned, so
     the grammar has no dead rules, chains or duplicate right-hand sides.
     """
-    phrases = fz.phrases
-    sources = _field(phrases, "pos")
-    lit = _field(phrases, "length") == 0
-    # phrases before the first bad literal are still checked in order
-    bad = np.flatnonzero(lit & ((sources < 0) | (sources > 255)))
-    stop = int(bad[0]) if len(bad) else len(phrases)
-    lit = lit[:stop]
+    check_factorization(fz)
+    lit = fz.length == 0
     head = lit & ~np.concatenate(([False], lit[:-1]))
     tail = lit & ~np.concatenate((lit[1:], [False]))
     counts = np.flatnonzero(tail) - np.flatnonzero(head) + 1
     b = _Builder()
-    runs = iter(b.literal_runs(-1 - sources[:stop][lit], counts))
+    runs = iter(b.literal_runs(-1 - fz.pos[lit], counts))
     root = _Root(b)
-    for idx in np.flatnonzero(head | ~lit).tolist():
-        ph = phrases[idx]
-        src, length = ph.pos, ph.length
+    at = np.flatnonzero(head | ~lit)
+    for src, length in zip(fz.pos[at].tolist(), fz.length[at].tolist()):
         if length == 0:
             root.append(next(runs))
             continue
-        pos = root.total
-        if length < 0:
-            raise ParseError(f"phrase {idx + 1}: negative length {length}")
-        if src < 1 or src > pos:
-            raise ParseError(f"phrase {idx + 1}: source {src} beyond prefix")
         src -= 1
-        window = pos - src
+        window = root.total - src
         if length <= window:
             root.append(root.extract(src, src + length))
         else:
             # overlapping phrase: the content is periodic with period
             # `window`
-            period = root.extract(src, pos)
+            period = root.extract(src, root.total)
             reps, rest = divmod(length, window)
             root.append(power(b.join, period, reps))
             if rest:
                 root.append(root.extract(src, src + rest))
-    pos = root.total
-    if stop < len(phrases):
-        raise ParseError(f"phrase {stop + 1}: literal "
-                         f"{phrases[stop].pos} out of range")
-    if pos != fz.text_length:
-        raise ParseError(f"phrases expand to {pos} bytes, "
-                         f"header promised {fz.text_length}")
-    if pos > MAX_EXPANSION:
-        raise ParseError(f"text of {pos} bytes exceeds 2^63-1")
     if not root.spine:
         return Grammar()
     return b.live_grammar(root.collapse(0))

@@ -1,19 +1,20 @@
 """Rule-object reference versions of the grammar codec, validation,
-binarization and pruning.
+binarization and pruning, and the per-phrase factorization checks.
 
-These walk `Grammar.rules` one `SeqRule`/`RunRule` at a time, as the
-toolkit did before its grammars were stored as arrays.  The array
-versions must agree with them byte for byte, error for error and rule
-for rule.
+These walk `Grammar.rules` one `SeqRule`/`RunRule` at a time, and the
+phrases one at a time, as the toolkit did before its grammars and
+factorizations were stored as arrays.  The array versions must agree
+with them byte for byte, error for error and rule for rule.
 """
 
 from __future__ import annotations
 
 import struct
 
-from rlslp.grammar import (MAX_ALPHABET, SLG_MAGIC, SLG_VERSION,
-                           FormatError, Grammar, GrammarError, RunRule,
-                           SeqRule, ValidationReport, term_byte)
+from rlslp.grammar import (MAX_ALPHABET, MAX_EXPANSION, SLG_MAGIC,
+                           SLG_VERSION, FormatError, Grammar, GrammarError,
+                           RunRule, SeqRule, ValidationReport, term_byte)
+from rlslp.lz import Factorization, ParseError
 
 _HEADER = struct.Struct("<4sBQQ")
 _U64 = struct.Struct("<Q")
@@ -176,3 +177,26 @@ def ref_slg_to_slp(g: Grammar) -> Grammar:
             out.append(SeqRule(tuple(rhs)))
         remap[i] = len(out)
     return Grammar(out, g.alphabet_size)
+
+
+def ref_check_factorization(fz: Factorization) -> None:
+    """The checks lz_to_slg made before factorizations were arrays: one
+    phrase at a time, in Python integers."""
+    total = 0
+    for k, (p, length) in enumerate(zip(fz.pos.tolist(), fz.length.tolist()),
+                                    start=1):
+        if length == 0:
+            if not 0 <= p <= 255:
+                raise ParseError(f"phrase {k}: literal {p} out of range")
+            total += 1
+            continue
+        if length < 0:
+            raise ParseError(f"phrase {k}: negative length {length}")
+        if p < 1 or p > total:
+            raise ParseError(f"phrase {k}: source {p} beyond prefix")
+        total += length
+    if total != fz.text_length:
+        raise ParseError(f"phrases expand to {total} bytes, "
+                         f"header promised {fz.text_length}")
+    if total > MAX_EXPANSION:
+        raise ParseError(f"text of {total} bytes exceeds 2^63-1")

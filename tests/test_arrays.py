@@ -1,29 +1,36 @@
-"""Array-backed grammars against their rule-object references.
+"""Array-backed grammars and factorizations against their rule-object
+and per-phrase references.
 
 The byte-identity oracle: the pipeline's `.slgf` on the acceptance
-corpus and `recompress`'s `.slgf` of a binarized wide grammar are
-pinned by sha256.  The codec, validation, binarization and pruning
-must agree with the rule-object versions in `reference.py` on generated
-grammars with run, wide, dead, chain and duplicate rules, and on broken
-ones.
+corpus, its `.lzpf` at B = 50 and `recompress`'s `.slgf` of a binarized
+wide grammar are pinned by sha256.  The codec, validation, binarization
+and pruning must agree with the rule-object versions in `reference.py`
+on generated grammars with run, wide, dead, chain and duplicate rules,
+and on broken ones; the factorization checks must agree with the
+per-phrase reference on phrases with edge-value fields.
 """
 
 import hashlib
 import random
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import (ref_decode, ref_encode, ref_prune, ref_slg_to_slp,
-                       ref_validate)
+from reference import (ref_check_factorization, ref_decode, ref_encode,
+                       ref_prune, ref_slg_to_slp, ref_validate)
 from rlslp.dataset import gen_dataset, load_sample
 from rlslp.engine import recompress
 from rlslp.grammar import (FormatError, Grammar, GrammarError, RunRule,
                            SeqRule, decode_grammar, encode_grammar, expand,
                            term, validate)
+from rlslp.lz import (Factorization, ParseError, Phrase, check_factorization,
+                      decode_factorization, decode_factorization_bytes,
+                      encode_factorization, parse_bentley_mcilroy)
 from rlslp.pipeline import PipelineConfig, run_pipeline
-from rlslp.slg import prune_slp, slg_to_slp
+from rlslp.slg import lz_to_slg, prune_slp, slg_to_slp
+from test_fuzz import EDGES
 
 EXPONENTS = [2, 3, 5, 2**40, 2**63 - 1, 2**63, 2**64 - 1]
 
@@ -41,6 +48,15 @@ def test_pipeline_slgf_pinned(tmp_path):
                                           seed=42, profile_memory=False))
     assert sha256(out.read_bytes()) == (
         "ef480cb406b1fd1156aa668fe7ac990497fe9966c73d1d3d96d72b1079dce7b5")
+
+
+def test_lzpf_pinned():
+    # gen-dataset 4M 1e-5 seed 21, B = 50
+    text = gen_dataset(load_sample(), 4 << 20, mutation_rate=1e-5, seed=21)
+    data = encode_factorization(parse_bentley_mcilroy(text, 50))
+    assert sha256(data) == (
+        "182576b8ece906c64349b73d4dac62674095e4d6ed5c6046831b7b8214b42718")
+    assert encode_factorization(decode_factorization_bytes(data)) == data
 
 
 def wide_comb() -> Grammar:
@@ -189,3 +205,59 @@ def test_expand_past_huge_dead_run_exponents():
     assert expand(g) == b"\x01\x01\x01\x00"
     with pytest.raises(GrammarError, match="rule 3"):
         expand(g, 3)
+
+
+LITERAL = st.tuples(st.one_of(st.integers(0, 255), st.sampled_from(EDGES)),
+                    st.just(0))
+COPY = st.tuples(st.one_of(st.integers(1, 4), st.sampled_from(EDGES)),
+                 st.one_of(st.integers(0, 8), st.sampled_from(EDGES)))
+
+
+@st.composite
+def phrase_tables(draw) -> tuple[list[tuple[int, int]], int]:
+    """Literals and copies with fields from small values and edges, and
+    the text length they expand to or an edge value: prefix sums pass
+    2^63 and 2^64."""
+    fields = draw(st.lists(st.one_of(LITERAL, COPY), max_size=8))
+    total = sum(length or 1 for _, length in fields)
+    return fields, draw(st.one_of(st.just(total), st.sampled_from(EDGES)))
+
+
+def result(fn, fz):
+    """fn's result, or the text of its ParseError."""
+    try:
+        return fn(fz)
+    except ParseError as exc:
+        return str(exc)
+
+
+HUGE = (1, 2**63 - 1)
+
+
+@settings(max_examples=600, deadline=None)
+@given(phrase_tables())
+@example(([(97, 0), HUGE], 2**63))
+@example(([(97, 0), HUGE, (2, 2**63 - 2)], 2**64 - 2))
+# in int64 the expansion 2^64 wraps to the header's 0
+@example(([(97, 0), HUGE, HUGE, (1, 1)], 0))
+def test_phrase_checks_agree_with_reference(case):
+    fields, n = case
+    fzs = [Factorization([Phrase(p, length) for p, length in fields], n)]
+    if n < 2**64:
+        fzs.append(decode_factorization_bytes(
+            struct.pack("<4sBQQ", b"LZPF", 1, n, len(fields))
+            + b"".join(struct.pack("<QQ", *f) for f in fields)))
+        # the constructor keeps a field's 64 bits as LZPF reads them
+        assert fzs[1].pos.tolist() == fzs[0].pos.tolist()
+        assert fzs[1].length.tolist() == fzs[0].length.tolist()
+    for fz in fzs:
+        expected = result(ref_check_factorization, fz)
+        assert result(check_factorization, fz) == expected
+        g = result(lz_to_slg, fz)
+        if expected is not None:
+            assert g == expected
+            assert result(decode_factorization, fz) == expected
+            continue
+        assert isinstance(g, Grammar)
+        if n <= 1 << 16:
+            assert decode_factorization(fz) == (expand(g) if len(g) else b"")
