@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grammar import MAX_EXPANSION, Grammar, GrammarError, power
+from .grammar import MAX_EXPANSION, Grammar, GrammarError, power, validate
 from .naive import string_rounds
 from .partition import (ConvergenceError, Laps, PairMaps, Partition,
                         PartitionSource, RecompressResult, RlslpBuilder,
-                        RoundRecord, replaced_weight, round_limit, sides_of)
+                        RoundRecord, round_limit, round_record, sides_of)
 
 
 def _enc(syms: np.ndarray) -> np.ndarray:
@@ -156,10 +156,14 @@ class LevelGrammar:
         level string is the text either way.  Unreachable rules would
         otherwise shed dead productions into the output and shift fresh
         symbol ids away from what the reference engine assigns for the
-        same text.  A reachable rule with an empty right-hand side, and
-        a grammar whose text is longer than 2^63 - 1, which the int64
-        level lengths cannot hold, are rejected.
+        same text.  A grammar that `validate` rejects, also for a rule
+        the start does not reach, and one whose text is longer than
+        2^63 - 1, which the int64 level lengths cannot hold, raise
+        GrammarError.
         """
+        report = validate(g)
+        if not report.ok:
+            raise GrammarError(f"rule {report.rule_index}: {report.message}")
         m = len(g)
         ent, ptr = g.ent, g.ptr
         runs = np.flatnonzero(g.run)
@@ -172,13 +176,9 @@ class LevelGrammar:
                 return m + len(extra) // 2
 
             at = ptr[runs]
-            for i, j, base, exponent in zip(runs.tolist(), at.tolist(),
-                                            ent[at].tolist(),
-                                            ent[at + 1].tolist()):
-                exponent &= 2**64 - 1
-                if exponent < 2:
-                    raise GrammarError(f"rule {i + 1}: run exponent < 2")
-                power(join, base, exponent)
+            for j, base, exponent in zip(at.tolist(), ent[at].tolist(),
+                                         ent[at + 1].tolist()):
+                power(join, base, exponent & (2**64 - 1))
                 # the run rule takes the place of the rule made last
                 ent[j + 1] = extra.pop()
                 ent[j] = extra.pop()
@@ -188,9 +188,6 @@ class LevelGrammar:
         lens = np.diff(ptr)
         height = _heights(ptr, ent)
         kept = _reachable(ptr, ent, m).nonzero()[0]
-        empty = kept[lens[kept - 1] == 0]
-        if len(empty):
-            raise GrammarError(f"rule {empty[0]}: empty rhs")
         # a stable sort by height keeps the order topological
         kept = kept[np.argsort(height[kept], kind="stable")]
         remap = np.zeros(len(ptr), dtype=np.int64)
@@ -526,30 +523,23 @@ def recompress(slp: Grammar, strategy: str = "mixed", seed: int = 42,
         if round_no >= limit:
             raise ConvergenceError(f"no convergence within {limit} phases")
         laps = Laps()
-        before = builder.productions
-        weights = {}
+        before, made = length, builder.productions
         if round_no % 2 == 0:
-            phase = "bcomp"
             lg = bcomp(lg, builder)
         else:
-            phase = "pcomp"
             occ = compute_nocc(lg)
             laps.lap("nocc_s")
             pairs, alphabet = collect_pair_frequencies(lg, occ)
             laps.lap("pair_count_s")
             part = source.next_partition(pairs, alphabet)
-            weights = {"replaced_weight": replaced_weight(pairs, part),
-                       "total_weight": pairs.total_weight()}
             laps.lap("partition_s")
             lg = pcomp(lg, part, builder)
         laps.lap("rewrite_s")
         lengths, size = lg.level_lengths()
         laps.lap("level_lengths_s")
         length = int(lengths[-1])
-        records.append(RoundRecord(round_no, phase, length,
-                                   builder.productions - before,
-                                   work_size=size, **weights,
-                                   **laps.times()))
+        records.append(round_record(round_no, before, length,
+                                    builder.productions - made, size, laps))
         if trace is not None:
             trace.append(lg.level_string())
         round_no += 1

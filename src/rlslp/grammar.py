@@ -275,6 +275,7 @@ def grammar_size(g: Grammar) -> GrammarSize:
 # repetitive grammars without letting cache growth track the output size.
 
 _MEMO_RULE_MAX = 1 << 16
+_MEMO_BUDGET = 64 << 20
 # chunks mostly stay below 64 KiB, where glibc's free() starts to
 # consolidate and trim the heap: with 64 KiB chunks a streaming verify
 # after a compress in the same process page-faulted about 1,200 times per
@@ -285,7 +286,7 @@ _BYTES = [bytes((c,)) for c in range(MAX_ALPHABET)]
 
 
 def _build_memo(ent: list[int], ptr: list[int], run: list[bool],
-                lengths: list[int], budget: int) -> dict[int, bytes]:
+                lengths: list[int]) -> dict[int, bytes]:
     """Expansions of the rules that fit, smallest ids first; terminals
     are in it too, keyed by their symbol."""
     memo = {term(c): b for c, b in enumerate(_BYTES)}
@@ -293,7 +294,7 @@ def _build_memo(ent: list[int], ptr: list[int], run: list[bool],
     spent = 0
     for i, (a, b, is_run) in enumerate(zip(ptr, ptr[1:], run), start=1):
         n = lengths[i]
-        if n > _MEMO_RULE_MAX or spent + n > budget:
+        if n > _MEMO_RULE_MAX or spent + n > _MEMO_BUDGET:
             continue
         try:
             if b - a != 2:
@@ -308,8 +309,7 @@ def _build_memo(ent: list[int], ptr: list[int], run: list[bool],
     return memo
 
 
-def iter_expansion(g: Grammar, rule_index: int | None = None,
-                   memo_budget: int = 64 << 20):
+def iter_expansion(g: Grammar, rule_index: int | None = None):
     """Yield the expansion of a rule as a sequence of bytes chunks.
 
     Additional memory is bounded by the memo budget plus the grammar
@@ -336,7 +336,7 @@ def iter_expansion(g: Grammar, rule_index: int | None = None,
     run = g.run.tolist()
     for a in g.ptr[:-1][g.run].tolist():
         ent[a + 1] &= _U64_MASK
-    memo = _build_memo(ent, ptr, run, lengths, memo_budget)
+    memo = _build_memo(ent, ptr, run, lengths)
 
     buf = bytearray()
     # frames: [next entry, end, True] for sequences, [base, remaining,

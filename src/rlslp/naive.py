@@ -16,7 +16,7 @@ import numpy as np
 
 from .partition import (ConvergenceError, Laps, PairMaps, PartitionSource,
                         RecompressResult, RlslpBuilder, RoundRecord,
-                        replaced_weight, round_limit, sides_of)
+                        round_limit, round_record, sides_of)
 
 
 def text_to_levels(text: bytes) -> np.ndarray:
@@ -82,25 +82,19 @@ def string_rounds(s: np.ndarray, round_no: int, builder: RlslpBuilder,
         if round_no >= limit:
             raise ConvergenceError(f"no convergence within {limit} phases")
         laps = Laps()
-        before = builder.productions
-        weights = {}
+        before, made = len(s), builder.productions
         if round_no % 2 == 0:
-            phase = "bcomp"
             s = bcomp_string(s, builder)
         else:
-            phase = "pcomp"
             pairs, alphabet = pair_stats_string(s)
             laps.lap("pair_count_s")
             part = source.next_partition(pairs, alphabet)
-            weights = {"replaced_weight": replaced_weight(pairs, part),
-                       "total_weight": pairs.total_weight()}
             laps.lap("partition_s")
             s = pcomp_string(s, part, builder)
         laps.lap("rewrite_s")
-        records.append(RoundRecord(round_no, phase, len(s),
-                                   builder.productions - before,
-                                   work_size=len(s), **weights,
-                                   **laps.times()))
+        records.append(round_record(round_no, before, len(s),
+                                    builder.productions - made, len(s),
+                                    laps))
         if trace is not None:
             trace.append(s.copy())
         round_no += 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,28 +88,20 @@ class PairMaps:
 
 @dataclass
 class Partition:
-    """Two-sided split of the level alphabet; True means the left side.
-
-    The sides must not change once `side_table` has been called.
-    """
+    """Two-sided split of the level alphabet; True means the left side."""
 
     sides: dict[int, bool]
-    _table: np.ndarray | None = field(default=None, init=False, repr=False,
-                                      compare=False)
 
     def side_table(self) -> np.ndarray:
         """Sides indexed by symbol_rank: 1 left, -1 right, 0 for symbols
         outside the split.  Look symbols up with `sides_of`."""
-        if self._table is None:
-            syms = np.fromiter(self.sides, dtype=np.int64,
-                               count=len(self.sides))
-            left = np.fromiter(self.sides.values(), dtype=bool,
-                               count=len(self.sides))
-            ranks = symbol_ranks(syms)
-            self._table = np.zeros(int(ranks.max(initial=0)) + 1,
-                                   dtype=np.int8)
-            self._table[ranks] = np.where(left, 1, -1)
-        return self._table
+        count = len(self.sides)
+        ranks = symbol_ranks(np.fromiter(self.sides, dtype=np.int64,
+                                         count=count))
+        left = np.fromiter(self.sides.values(), dtype=bool, count=count)
+        table = np.zeros(int(ranks.max(initial=0)) + 1, dtype=np.int8)
+        table[ranks] = np.where(left, 1, -1)
+        return table
 
 
 def sides_of(table: np.ndarray, syms: np.ndarray) -> np.ndarray:
@@ -246,7 +238,7 @@ class RoundRecord:
     seconds: float = 0.0  # wall time of the phase, the sum of the parts:
     nocc_s: float = 0.0  # occurrence counts (grammar rounds)
     pair_count_s: float = 0.0  # pair frequencies
-    partition_s: float = 0.0  # choosing the partition, replaced weight
+    partition_s: float = 0.0  # choosing the partition
     rewrite_s: float = 0.0  # bcomp or pcomp
     level_lengths_s: float = 0.0  # level lengths of the new grammar
 
@@ -269,6 +261,22 @@ class Laps:
 
     def times(self) -> dict[str, float]:
         return dict(self.spent, seconds=self.last - self.start)
+
+
+def round_record(round_no: int, before: int, after: int, new_rules: int,
+                 work_size: int, laps: Laps) -> RoundRecord:
+    """Record of round round_no (even: runs, odd: pairs), which took the
+    level string from length before to after.
+
+    A string of n symbols has n - 1 adjacent pairs, and every pair a
+    pair round replaces removes one symbol, so the lengths give the
+    round's total and replaced weight.
+    """
+    rec = RoundRecord(round_no, "pcomp" if round_no % 2 else "bcomp", after,
+                      new_rules, work_size=work_size, **laps.times())
+    if round_no % 2:
+        rec.replaced_weight, rec.total_weight = before - after, before - 1
+    return rec
 
 
 def records_to_tsv(records: list[RoundRecord]) -> str:

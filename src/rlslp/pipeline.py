@@ -200,7 +200,8 @@ def run_pipeline(input_path: str | Path, output_path: str | Path,
     the parse stage is selected) once every stage, and the verification
     if asked for, has succeeded, and returns the stats report; the
     caller persists the report wherever it wants it.  The text is held
-    only until the parse returns; verification reads input_path again.
+    only until the parse returns, the factorization until `lz_to_slg`
+    returns; verification reads input_path again.
     """
     cfg = cfg or PipelineConfig()
     input_path = Path(input_path)
@@ -228,6 +229,7 @@ def run_pipeline(input_path: str | Path, output_path: str | Path,
 
     slg = run_stage(report, "lz_to_slg", lambda: lz_to_slg(fz),
                     profile=prof)
+    del fz
     report.counts["slg_rules"] = len(slg)
     if cfg.keep_intermediates:
         write_atomic(str(output_path) + ".slg", encode_grammar(slg))

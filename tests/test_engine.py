@@ -25,7 +25,7 @@ from rlslp.naive import (bcomp_string, pair_stats_string, pcomp_string,
                          recompress_string, text_to_levels)
 from rlslp.partition import (STRATEGIES, ConvergenceError, Partition,
                              PartitionSource, RlslpBuilder,
-                             randomized_partition)
+                             randomized_partition, replaced_weight)
 from rlslp.pipeline import PipelineConfig, run_pipeline
 from rlslp.slg import lz_to_slg, prune_slp, slg_to_slp
 
@@ -413,6 +413,14 @@ def test_recompress_empty_reachable_rule_rejected():
             recompress(g)
 
 
+def test_recompress_invalid_grammar_names_the_rule():
+    for g, rule in ((Grammar([SeqRule((-300, -1, -300))]), 1),
+                    (Grammar([SeqRule((-1, -2)), SeqRule((1, 5))]), 2),
+                    (Grammar([SeqRule((0, -1))]), 1)):
+        with pytest.raises(GrammarError, match=f"^rule {rule}: "):
+            recompress(g)
+
+
 def test_recompress_no_convergence_is_typed(monkeypatch):
     import rlslp.engine
     monkeypatch.setattr(rlslp.engine, "round_limit", lambda n: 1)
@@ -542,6 +550,32 @@ def test_run_keys_never_repeat_across_rounds(t, seed):
     for res in results + [rs, rg]:
         runs = [r for r in res.grammar.rules if isinstance(r, RunRule)]
         assert len(set(runs)) == len(runs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.binary(min_size=2, max_size=150),
+                 st.lists(st.integers(97, 99), min_size=2,
+                          max_size=150).map(bytes)),
+       st.integers(0, 2**32 - 1))
+def test_pair_round_weights_are_the_length_drop(t, seed):
+    parts = _random_sides(random.Random(seed), t, 150)
+    results = []
+    for strategy in STRATEGIES + (None,):
+        for engine, arg in ((recompress_string, t), (recompress, slp_of(t))):
+            source = (PartitionSource(injected=parts) if strategy is None
+                      else PartitionSource(strategy, seed))
+            results.append(engine(arg, source=source, collect_trace=True))
+    for res in results:
+        # round i is a pair round for odd i, with partition i // 2
+        for i in range(1, len(res.records), 2):
+            rec = res.records[i]
+            before = res.records[i - 1].length_after
+            assert rec.replaced_weight == before - rec.length_after
+            assert rec.total_weight == before - 1
+            # the partition's crossing weight on the level string before
+            pairs, _ = pair_stats_string(res.trace[i - 1])
+            assert replaced_weight(pairs, res.partitions[i // 2]) == \
+                rec.replaced_weight
 
 
 @settings(max_examples=100, deadline=None)
