@@ -35,7 +35,7 @@ from .grammar import MAX_EXPANSION, Grammar, GrammarError, power, validate
 from .naive import string_rounds
 from .partition import (ConvergenceError, Laps, PairMaps, Partition,
                         PartitionSource, RecompressResult, RlslpBuilder,
-                        RoundRecord, round_limit, round_record, sides_of)
+                        RoundRecord, round_limit, round_record)
 
 
 def _enc(syms: np.ndarray) -> np.ndarray:
@@ -422,7 +422,7 @@ def compute_nocc(lg: LevelGrammar) -> np.ndarray:
 
 
 def collect_pair_frequencies(lg: LevelGrammar, occ: np.ndarray
-                             ) -> tuple[PairMaps, list[int]]:
+                             ) -> tuple[PairMaps, np.ndarray]:
     """Weighted boundary pairs of all reachable rules, and the alphabet
     in symbol_rank order.
 
@@ -453,8 +453,7 @@ def collect_pair_frequencies(lg: LevelGrammar, occ: np.ndarray
                     weight[:-1][inner])
     # an encoded level symbol's symbol_rank is -entry
     ranks = np.bincount(-ent[(ent < 0) & (weight > 0)]).nonzero()[0]
-    alphabet = np.where(ranks <= 256, -ranks, ranks - 256).tolist()
-    return maps, alphabet
+    return maps, np.where(ranks <= 256, -ranks, ranks - 256)
 
 
 def _pair_up(val, key, side, r, start):
@@ -492,7 +491,7 @@ def pcomp(lg: LevelGrammar, part: Partition, builder: RlslpBuilder
     on one side only), so all of them are replaced at once.
     """
     ent = lg.ent
-    side = np.where(ent < 0, sides_of(part.side_table(), _dec(ent)), 0)
+    side = np.where(ent < 0, part.sides_of(_dec(ent)), 0)
     return _rewrite(lg, (ent, 0, side.astype(np.int8)), _pair_up,
                     builder.add_pairs)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .partition import (ConvergenceError, Laps, PairMaps, PartitionSource,
                         RecompressResult, RlslpBuilder, RoundRecord,
-                        round_limit, round_record, sides_of)
+                        round_limit, round_record)
 
 
 def text_to_levels(text: bytes) -> np.ndarray:
@@ -37,10 +37,9 @@ def bcomp_string(s: np.ndarray, builder: RlslpBuilder) -> np.ndarray:
     return out
 
 
-def pair_stats_string(s: np.ndarray) -> tuple[PairMaps, list[int]]:
+def pair_stats_string(s: np.ndarray) -> tuple[PairMaps, np.ndarray]:
     """Weighted adjacent-pair counts and the level alphabet."""
     usyms, inv = np.unique(s, return_inverse=True)
-    alphabet = [int(x) for x in usyms.tolist()]
     maps = PairMaps()
     if len(s) >= 2:
         width = len(usyms)
@@ -48,7 +47,7 @@ def pair_stats_string(s: np.ndarray) -> tuple[PairMaps, list[int]]:
         ucodes, counts = np.unique(codes, return_counts=True)
         maps.add_arrays(usyms[ucodes // width], usyms[ucodes % width],
                         counts)
-    return maps, alphabet
+    return maps, usyms
 
 
 def pcomp_string(s: np.ndarray, part, builder: RlslpBuilder) -> np.ndarray:
@@ -57,7 +56,7 @@ def pcomp_string(s: np.ndarray, part, builder: RlslpBuilder) -> np.ndarray:
     Candidate positions can never be adjacent (a symbol sits on one side
     only), so the left-to-right replacement order is immaterial.
     """
-    side = sides_of(part.side_table(), s)
+    side = part.sides_of(s)
     starts = np.flatnonzero((side[:-1] == 1) & (side[1:] == -1))
     out = s.copy()
     out[starts] = builder.add_pairs(s[starts], s[starts + 1])

@@ -22,7 +22,7 @@ STRATEGIES = ("det", "rand", "mixed")
 
 
 class PartitionError(ValueError):
-    """Raised when an injected partition sequence runs dry."""
+    """Raised for a bad partition key or a dry injected partition list."""
 
 
 class ConvergenceError(RuntimeError):
@@ -86,43 +86,55 @@ class PairMaps:
         return int(self.weight.sum())
 
 
-@dataclass
 class Partition:
-    """Two-sided split of the level alphabet; True means the left side."""
+    """Two-sided split of the level alphabet: its symbols `syms` (int64,
+    in symbol_rank order) and whether each goes `left`.  `sides` is the
+    same split as a dict, built on each use."""
 
-    sides: dict[int, bool]
+    def __init__(self, sides: dict[int, bool]) -> None:
+        syms = np.fromiter(sides, dtype=np.int64, count=len(sides))
+        bad = syms[(syms == 0) | (syms < -256)]
+        if len(bad):
+            raise PartitionError(
+                f"partition key {int(bad[0])} is not a level symbol")
+        left = np.fromiter(sides.values(), dtype=bool, count=len(sides))
+        order = np.argsort(symbol_ranks(syms), kind="stable")
+        self.syms, self.left = syms[order], left[order]
 
-    def side_table(self) -> np.ndarray:
-        """Sides indexed by symbol_rank: 1 left, -1 right, 0 for symbols
-        outside the split.  Look symbols up with `sides_of`."""
-        count = len(self.sides)
-        ranks = symbol_ranks(np.fromiter(self.sides, dtype=np.int64,
-                                         count=count))
-        left = np.fromiter(self.sides.values(), dtype=bool, count=count)
-        table = np.zeros(int(ranks.max(initial=0)) + 1, dtype=np.int8)
-        table[ranks] = np.where(left, 1, -1)
-        return table
+    @classmethod
+    def from_arrays(cls, syms: np.ndarray, left: np.ndarray) -> Partition:
+        """The split with syms[i] on the left side where left[i]."""
+        part = cls.__new__(cls)
+        part.syms, part.left = syms, left
+        return part
 
+    @property
+    def sides(self) -> dict[int, bool]:
+        return dict(zip(self.syms.tolist(), self.left.tolist()))
 
-def sides_of(table: np.ndarray, syms: np.ndarray) -> np.ndarray:
-    """Side (1 left, -1 right, 0 none) of every level symbol in syms."""
-    ranks = symbol_ranks(syms)
-    return np.where(ranks < len(table),
-                    table[np.minimum(ranks, len(table) - 1)], 0)
+    def sides_of(self, syms: np.ndarray) -> np.ndarray:
+        """Side of every level symbol in syms: 1 left, -1 right, 0 for
+        symbols outside the split."""
+        ranks = symbol_ranks(self.syms)
+        # indexed by rank; the last slot, 0, stands for every larger rank
+        table = np.zeros(int(ranks.max(initial=0)) + 2, dtype=np.int8)
+        table[ranks] = np.where(self.left, 1, -1)
+        return table[np.minimum(symbol_ranks(syms), len(table) - 1)]
 
 
 def replaced_weight(pairs: PairMaps, part: Partition) -> int:
     """Total weight of the pairs a replacement pass will consume."""
-    table = part.side_table()
-    crossing = ((sides_of(table, pairs.first) == 1)
-                & (sides_of(table, pairs.second) == -1))
+    crossing = ((part.sides_of(pairs.first) == 1)
+                & (part.sides_of(pairs.second) == -1))
     return int(pairs.weight[crossing].sum())
 
 
 def _rank_order(alphabet) -> np.ndarray:
-    """The alphabet as an int64 array sorted by symbol_rank."""
-    syms = np.fromiter(alphabet, dtype=np.int64)
-    return syms[np.argsort(symbol_ranks(syms), kind="stable")]
+    """The alphabet, an int64 array or a collection of ints, as an int64
+    array sorted by symbol_rank."""
+    if not isinstance(alphabet, np.ndarray):
+        alphabet = np.array(list(alphabet), dtype=np.int64)
+    return alphabet[np.argsort(symbol_ranks(alphabet), kind="stable")]
 
 
 def deterministic_partition(pairs: PairMaps, alphabet) -> Partition:
@@ -135,7 +147,7 @@ def deterministic_partition(pairs: PairMaps, alphabet) -> Partition:
     syms = _rank_order(alphabet)
     count = len(syms)
     if count == 0:
-        return Partition({})
+        return Partition.from_arrays(syms, np.zeros(0, dtype=bool))
     ranks = symbol_ranks(syms)
 
     def position(side: np.ndarray) -> np.ndarray:
@@ -166,31 +178,19 @@ def deterministic_partition(pairs: PairMaps, alphabet) -> Partition:
     placed = (ia >= 0) & (ib >= 0)
     la, lb = side[ia[placed]], side[ib[placed]]
     w = pairs.weight[placed]
-    forward = int(w[la & ~lb].sum())
-    backward = int(w[~la & lb].sum())
-    if forward < backward:
-        left = [not x for x in left]
-    return Partition(dict(zip(syms.tolist(), left)))
+    flip = w[la & ~lb].sum() < w[~la & lb].sum()
+    return Partition.from_arrays(syms, side ^ flip)
 
 
 def randomized_partition(alphabet, rng: random.Random) -> Partition:
     """Independent fair coin per symbol, in rank order for stable
-    replay under a fixed seed."""
-    return Partition({sym: bool(rng.getrandbits(1))
-                      for sym in _rank_order(alphabet).tolist()})
-
-
-def make_partition(pairs: PairMaps, alphabet, strategy: str,
-                   rng: random.Random, pcomp_round: int) -> Partition:
-    if strategy == "det":
-        return deterministic_partition(pairs, alphabet)
-    if strategy == "rand":
-        return randomized_partition(alphabet, rng)
-    if strategy == "mixed":
-        if pcomp_round % 2 == 0:
-            return deterministic_partition(pairs, alphabet)
-        return randomized_partition(alphabet, rng)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    replay under a fixed seed.  Bit 31 of each little-endian 32-bit word
+    of one getrandbits(32 n) call is what the successive getrandbits(1)
+    calls would return, with the same generator state afterwards."""
+    syms = _rank_order(alphabet)
+    words = rng.getrandbits(32 * len(syms)).to_bytes(4 * len(syms), "little")
+    return Partition.from_arrays(
+        syms, np.frombuffer(words, dtype="<u4") >> 31 == 1)
 
 
 class PartitionSource:
@@ -216,9 +216,11 @@ class PartitionSource:
                 raise PartitionError(
                     f"injected partitions exhausted after {self.pcomp_rounds}")
             part = self.injected[self.pcomp_rounds]
+        elif self.strategy == "det" or (self.strategy == "mixed"
+                                        and self.pcomp_rounds % 2 == 0):
+            part = deterministic_partition(pairs, alphabet)
         else:
-            part = make_partition(pairs, alphabet, self.strategy, self.rng,
-                                  self.pcomp_rounds)
+            part = randomized_partition(alphabet, self.rng)
         self.pcomp_rounds += 1
         self.log.append(part)
         return part

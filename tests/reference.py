@@ -1,20 +1,26 @@
 """Rule-object reference versions of the grammar codec, validation,
-binarization and pruning, and the per-phrase factorization checks.
+binarization and pruning, the per-phrase factorization checks, and the
+dict-building partition strategies.
 
-These walk `Grammar.rules` one `SeqRule`/`RunRule` at a time, and the
-phrases one at a time, as the toolkit did before its grammars and
-factorizations were stored as arrays.  The array versions must agree
-with them byte for byte, error for error and rule for rule.
+These walk `Grammar.rules` one `SeqRule`/`RunRule` at a time, the
+phrases one at a time, and the alphabet one symbol at a time, as the
+toolkit did before its grammars, factorizations and partitions were
+stored as arrays.  The array versions must agree with them byte for
+byte, error for error, rule for rule and side for side.
 """
 
 from __future__ import annotations
 
+import random
 import struct
+
+import numpy as np
 
 from rlslp.grammar import (MAX_ALPHABET, MAX_EXPANSION, SLG_MAGIC,
                            SLG_VERSION, FormatError, Grammar, GrammarError,
                            RunRule, SeqRule, ValidationReport, term_byte)
 from rlslp.lz import Factorization, ParseError
+from rlslp.partition import PairMaps, Partition, symbol_ranks
 
 _HEADER = struct.Struct("<4sBQQ")
 _U64 = struct.Struct("<Q")
@@ -200,3 +206,64 @@ def ref_check_factorization(fz: Factorization) -> None:
                          f"header promised {fz.text_length}")
     if total > MAX_EXPANSION:
         raise ParseError(f"text of {total} bytes exceeds 2^63-1")
+
+
+def _rank_order(alphabet) -> np.ndarray:
+    """The alphabet as an int64 array sorted by symbol_rank."""
+    syms = np.fromiter(alphabet, dtype=np.int64)
+    return syms[np.argsort(symbol_ranks(syms), kind="stable")]
+
+
+def ref_deterministic_partition(pairs: PairMaps, alphabet) -> Partition:
+    """Greedy split maximizing crossing weight, then oriented the better
+    way round.  Replaced weight is at least a quarter of the total.
+
+    Symbols are placed in rank order, each opposite the heavier side of
+    its already placed neighbors; ties go left.
+    """
+    syms = _rank_order(alphabet)
+    count = len(syms)
+    if count == 0:
+        return Partition({})
+    ranks = symbol_ranks(syms)
+
+    def position(side: np.ndarray) -> np.ndarray:
+        # place in rank order; -1 outside the alphabet (never placed)
+        r = symbol_ranks(side)
+        at = np.minimum(np.searchsorted(ranks, r), count - 1)
+        return np.where(ranks[at] == r, at, -1)
+
+    ia, ib = position(pairs.first), position(pairs.second)
+    edge = (ia >= 0) & (ib >= 0) & (ia != ib)
+    # each edge weighs on the later-placed end, from the earlier one
+    later = np.maximum(ia, ib)[edge]
+    order = np.argsort(later, kind="stable")
+    ptr = np.searchsorted(later[order], np.arange(count + 1)).tolist()
+    earlier = np.minimum(ia, ib)[edge][order].tolist()
+    weights = pairs.weight[edge][order].tolist()
+    left = [True] * count
+    for i in range(count):
+        lo, hi = ptr[i], ptr[i + 1]
+        if lo == hi:
+            continue
+        balance = 0
+        for j, w in zip(earlier[lo:hi], weights[lo:hi]):
+            balance += w if left[j] else -w
+        if balance > 0:
+            left[i] = False
+    side = np.array(left, dtype=bool)
+    placed = (ia >= 0) & (ib >= 0)
+    la, lb = side[ia[placed]], side[ib[placed]]
+    w = pairs.weight[placed]
+    forward = int(w[la & ~lb].sum())
+    backward = int(w[~la & lb].sum())
+    if forward < backward:
+        left = [not x for x in left]
+    return Partition(dict(zip(syms.tolist(), left)))
+
+
+def ref_randomized_partition(alphabet, rng: random.Random) -> Partition:
+    """Independent fair coin per symbol, in rank order for stable
+    replay under a fixed seed."""
+    return Partition({sym: bool(rng.getrandbits(1))
+                      for sym in _rank_order(alphabet).tolist()})

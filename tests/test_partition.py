@@ -5,15 +5,17 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import ref_deterministic_partition, ref_randomized_partition
 from rlslp.grammar import RunRule, SeqRule
+from rlslp.naive import recompress_string
 from rlslp.partition import (PairMaps, Partition, PartitionError,
                              PartitionSource, RlslpBuilder,
-                             deterministic_partition, make_partition,
-                             randomized_partition, records_to_tsv,
-                             replaced_weight, round_limit, symbol_rank)
+                             deterministic_partition, randomized_partition,
+                             records_to_tsv, replaced_weight, round_limit,
+                             symbol_rank)
 
 A, B, C = -97, -98, -99  # terminals a, b, c
 
@@ -101,6 +103,45 @@ def test_randomized_partition_is_seed_stable():
     assert p1.sides != p3.sides
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(0, 1), st.integers(2, 3000)), st.floats(0, 1),
+       st.sampled_from(["list", "set", "array"]),
+       st.integers(0, 2**32 - 1))
+@example(0, 0.0, "array", 0)
+@example(1, 1.0, "list", 0)
+@example(1, 0.0, "set", 1)
+def test_partitions_match_reference(size, terminal_share, form, seed):
+    rng = random.Random(seed)
+    terms = min(256, round(size * terminal_share))
+    syms = ([-c for c in rng.sample(range(1, 257), terms)]
+            + rng.sample(range(1, 4 * size + 1), size - terms))
+    rng.shuffle(syms)
+    triples = [(rng.choice(syms), rng.choice(syms), rng.randint(1, 1000))
+               for _ in range(rng.randint(0, 3 * size))]
+    pm = pair_maps(triples) if triples else PairMaps()
+    alphabet = {"list": syms, "set": set(syms),
+                "array": np.array(syms, dtype=np.int64)}[form]
+    got = deterministic_partition(pm, alphabet)
+    assert got.sides == ref_deterministic_partition(pm, alphabet).sides
+    ours, theirs = random.Random(seed), random.Random(seed)
+    got = randomized_partition(alphabet, ours)
+    assert got.sides == ref_randomized_partition(alphabet, theirs).sides
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_partition_rejects_keys_that_are_not_level_symbols():
+    # symbol_rank(0) == symbol_rank(-256), and a key below -256 ranks
+    # like a rule id; either would pair symbols the split never named
+    for bad in (0, -257, -10**6):
+        with pytest.raises(PartitionError, match=str(bad)):
+            Partition({A: True, bad: False})
+    with pytest.raises(PartitionError, match="-300"):
+        Partition({A: True, -300: False, 0: True})
+    with pytest.raises(PartitionError):
+        recompress_string(bytes([255, 0]), source=PartitionSource(
+            injected=[Partition({0: True, -1: False})]))
+
+
 def test_mixed_strategy_alternates():
     pm = pair_maps([(A, B, 4), (B, C, 1)])
     syms = [A, B, C]
@@ -115,8 +156,6 @@ def test_mixed_strategy_alternates():
 
 
 def test_make_partition_rejects_unknown_strategy():
-    with pytest.raises(ValueError):
-        make_partition(PairMaps(), [A], "bogus", random.Random(0), 0)
     with pytest.raises(ValueError):
         PartitionSource(strategy="bogus")
 
@@ -174,10 +213,9 @@ def test_records_to_tsv_phase_parts_only_when_timed():
 
 
 def test_partition_side_table_by_rank():
-    from rlslp.partition import sides_of
     part = Partition({A: True, B: False, 5: False})
     syms = np.array([A, B, C, 5, 6, 10**6])
-    assert sides_of(part.side_table(), syms).tolist() == [1, -1, 0, -1, 0, 0]
+    assert part.sides_of(syms).tolist() == [1, -1, 0, -1, 0, 0]
 
 
 def keys(*pairs):
