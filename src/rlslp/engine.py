@@ -6,11 +6,15 @@ round costs time proportional to the current grammar size.  The level
 string is never materialized: run replacement works on per-rule maximal
 prefix/suffix runs, pair replacement on exposed boundary symbols.
 
-The working grammar is stored flat: rule j's right-hand side is
-ent[ptr[j-1]:ptr[j]], and an entry is either a reference to a working
-rule (positive) or an encoded level symbol (negative).  A level symbol
-is an output-grammar symbol: a terminal -(c+1) or a previously created
-rule id, encoded here as -(256 + id).
+The working grammar is a straight-line grammar with rules of any
+length (an SLG, for which Jeż states recompression), not a binary SLP:
+the import inlines every rule referenced only once, so every rule but
+the start is referenced at least twice, and the rewrites keep it so.
+It is stored flat: rule j's right-hand side is ent[ptr[j-1]:ptr[j]],
+and an entry is either a reference to a working rule (positive) or an
+encoded level symbol (negative).  A level symbol is an output-grammar
+symbol: a terminal -(c+1) or a previously created rule id, encoded here
+as -(256 + id).
 
 Rules are sorted by height layer, and a rule only references rules of
 lower layers, so rules of one layer never depend on each other: every
@@ -20,11 +24,13 @@ by recompression", TALG 2015).  A rule rewritten from a rule of layer L
 only references rules rewritten from lower layers, so each rewrite
 carries the layers forward instead of recomputing them.  The start rule
 is alone in the top layer and is rewritten whole; every other rule
-hands its boundary runs or symbols up to its parents.  Once the level
-string is no longer than the grammar, a round on the grammar costs more
-than one on the string, so the engine materializes the level string and
-the string engine's rounds (`naive.string_rounds`) finish the work with
-the same builder and partition source.
+hands its boundary runs or symbols up to its parents.  A run round
+whose level string has no two equal neighbours keeps the grammar as it
+is.  Once the level string is no longer than the grammar, a round on
+the grammar costs more than one on the string, so the engine
+materializes the level string and the string engine's rounds
+(`naive.string_rounds`) finish the work with the same builder and
+partition source.
 """
 
 from __future__ import annotations
@@ -209,38 +215,61 @@ class LevelGrammar:
         """Per-rule expansion length in level symbols, plus total rhs size."""
         return self._lengths(np.int64), len(self.ent)
 
-    def _lengths(self, dtype) -> np.ndarray:
+    def _lengths(self, dtype, opened: np.ndarray | None = None
+                 ) -> np.ndarray:
+        """Per-rule expansion length, where an entry counts as its rule's
+        length if `opened` (a mask over the entries; default: every rule
+        reference) and as one symbol otherwise."""
         ent, ptr = self.ent, self.ptr
         # lengths by entry + off: the encoded level symbols -off..-1 come
         # first, with length 1, then rule j at off + j
         off = -int(ent.min())
         lengths = np.zeros(off + len(self) + 1, dtype=dtype)
         lengths[:off] = 1
-        at = ent + off
+        at = ent + off if opened is None else np.where(opened, ent + off, 0)
         for lo, hi, a, b in self.sweep():
             lengths[off + lo + 1:off + hi + 1] = np.add.reduceat(
                 lengths[at[a:b]], ptr[lo:hi] - a)
         return lengths[off:]
 
     def level_string(self) -> np.ndarray:
-        """Materialized level string.
+        """Materialized level string."""
+        out, _ = self.expansions(np.array([len(self)]), self.ent > 0)
+        return _dec(out)
+
+    def expansions(self, roots: np.ndarray, opened: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """The right-hand sides of the root rules, concatenated in the
+        order given, with every opened entry (a mask over the entries,
+        set on rule references only) replaced by its rule's right-hand
+        side, recursively; and the length of each.
 
         Rule occurrences are placed top down, a layer at a time: an
         occurrence at position p puts each entry at p plus the entry's
-        offset in the rule, a level symbol into the string and a rule
-        reference into its rule's layer, so every occurrence is visited
-        once.
+        offset in the rule, an opened reference into its rule's layer
+        and any other entry into the output, so every occurrence is
+        visited once.
         """
         ptr, ent, layers = self.ptr, self.ent, np.array(self.layers)
-        lengths = self._lengths(np.int64)
-        width = np.where(ent > 0, lengths[np.maximum(ent, 0)], 1)
+        lengths = self._lengths(np.int64, opened)
+        width = np.where(opened, lengths[np.maximum(ent, 0)], 1)
         # offsets are differences within one rule, exact even where the
         # running sum wraps around
         before = width.cumsum() - width
-        out = np.empty(int(lengths[-1]), dtype=np.int64)
+        spans = lengths[roots]
+        out = np.empty(int(spans.sum()), dtype=np.int64)
         # per layer: (rules, positions) of the occurrences to place
         pending = [[] for _ in layers[1:]]
-        pending[-1].append((np.array([len(self)]), np.zeros(1, np.int64)))
+
+        def place(rules: np.ndarray, at: np.ndarray) -> None:
+            lay = np.searchsorted(layers, rules) - 1
+            order = np.argsort(lay, kind="stable")
+            rules, at, lay = rules[order], at[order], lay[order]
+            cut = _starts(lay).tolist() + [len(lay)]
+            for a, b in zip(cut[:-1], cut[1:]):
+                pending[lay[a]].append((rules[a:b], at[a:b]))
+
+        place(roots, spans.cumsum() - spans)
         for layer in reversed(range(len(pending))):
             if not pending[layer]:
                 continue
@@ -249,17 +278,44 @@ class LevelGrammar:
             counts = ptr[rules] - first
             entries = _ranges(first, counts)
             pos = (at - before[first]).repeat(counts) + before[entries]
-            e = ent[entries]
-            sym = e < 0
-            out[pos[sym]] = _dec(e[sym])
-            kid, pos = e[~sym], pos[~sym]
-            lay = np.searchsorted(layers, kid) - 1
-            order = np.argsort(lay, kind="stable")
-            kid, pos, lay = kid[order], pos[order], lay[order]
-            cut = _starts(lay).tolist() + [len(lay)]
-            for a, b in zip(cut[:-1], cut[1:]):
-                pending[lay[a]].append((kid[a:b], pos[a:b]))
-        return out
+            go = opened[entries]
+            out[pos[~go]] = ent[entries[~go]]
+            place(ent[entries[go]], pos[go])
+        return out, spans
+
+
+def inline(lg: LevelGrammar) -> LevelGrammar:
+    """The grammar with every rule referenced once inlined.
+
+    The start rule and the rules referenced two or more times are kept;
+    every reference to another rule is replaced by that rule's
+    right-hand side, recursively, so the level string stays as it was.
+    The kept rules are layered again by height, as in `from_slp`.
+    """
+    m = len(lg)
+    ent = lg.ent
+    refs = np.bincount(ent[ent > 0], minlength=m + 1)
+    once = refs == 1
+    if not once.any():
+        return lg
+    kept = (~once[1:]).nonzero()[0] + 1
+    ent, spans = lg.expansions(kept, once[np.maximum(ent, 0)] & (ent > 0))
+    # number the kept rules in id order, which is topological, then in
+    # height order; a stable sort keeps that order topological
+    k = len(kept)
+    remap = np.zeros(m + 1, dtype=np.int64)
+    remap[kept] = np.arange(1, k + 1)
+    ent = np.where(ent > 0, remap[np.maximum(ent, 0)], ent)
+    ptr = np.concatenate(([0], spans.cumsum()))
+    height = _heights(ptr, ent)
+    order = np.argsort(height[1:], kind="stable") + 1
+    rank = np.zeros(k + 1, dtype=np.int64)
+    rank[order] = np.arange(1, k + 1)
+    ent = ent[_entries_of(ptr, order)]
+    ent = np.where(ent > 0, rank[np.maximum(ent, 0)], ent)
+    layers = [0] + _starts(height[order])[1:].tolist() + [k]
+    return LevelGrammar(np.concatenate(([0], spans[order - 1].cumsum())),
+                        ent, layers)
 
 
 def _rewrite(lg: LevelGrammar, own: tuple, step, add) -> LevelGrammar:
@@ -398,7 +454,16 @@ def bcomp(lg: LevelGrammar, builder: RlslpBuilder) -> LevelGrammar:
     rule when two or more entries wide.  Every maximal run of the level
     string therefore lies in some cap or in the start rule, which keeps
     all its atoms, so run rules are created from those places only.
+
+    Two neighbours of the level string are equal only where some rule
+    has adjacent entries whose expansions end and begin with the same
+    symbol; every rule is reachable, so without such entries the round
+    makes no rule and the grammar is returned as it is.
     """
+    first, last = _entry_ends(lg)
+    row = lg.row
+    if not ((last[:-1] == first[1:]) & (row[1:] == row[:-1])).any():
+        return lg
     return _rewrite(lg, (_dec(lg.ent), 1, True), _merge_runs,
                     builder.add_runs)
 
@@ -421,19 +486,11 @@ def compute_nocc(lg: LevelGrammar) -> np.ndarray:
     return occ
 
 
-def collect_pair_frequencies(lg: LevelGrammar, occ: np.ndarray
-                             ) -> tuple[PairMaps, np.ndarray]:
-    """Weighted boundary pairs of all reachable rules, and the alphabet
-    in symbol_rank order.
-
-    Every adjacent position of the level string crosses exactly one rule
-    boundary (at the lowest rule spanning it), so summing boundary pairs
-    weighted by rule occurrences counts each adjacency exactly once.
-    """
+def _entry_ends(lg: LevelGrammar) -> tuple[np.ndarray, np.ndarray]:
+    """First and last level symbol of every entry's expansion."""
     m = len(lg)
-    ent, ptr, row = lg.ent, lg.ptr, lg.row
-    # first and last level symbol of every entry's expansion, indexed by
-    # entry + off: a level symbol is its own, a rule's comes from its
+    ent, ptr = lg.ent, lg.ptr
+    # by entry + off: a level symbol is its own, a rule's comes from its
     # first (last) entry
     off = -int(ent.min())
     lms = np.concatenate((_dec(np.arange(-off, 0)),
@@ -445,12 +502,25 @@ def collect_pair_frequencies(lg: LevelGrammar, occ: np.ndarray
         lms[off + lo + 1:off + hi + 1] = lms[firsts[lo:hi]]
         rms[off + lo + 1:off + hi + 1] = rms[lasts[lo:hi]]
     at = ent + off
+    return lms[at], rms[at]
+
+
+def collect_pair_frequencies(lg: LevelGrammar, occ: np.ndarray
+                             ) -> tuple[PairMaps, np.ndarray]:
+    """Weighted boundary pairs of all reachable rules, and the alphabet
+    in symbol_rank order.
+
+    Every adjacent position of the level string crosses exactly one rule
+    boundary (at the lowest rule spanning it), so summing boundary pairs
+    weighted by rule occurrences counts each adjacency exactly once.
+    """
+    ent, row = lg.ent, lg.row
+    first, last = _entry_ends(lg)
     weight = occ[row]
     # adjacent entries of one reachable rule
     inner = (weight[:-1] > 0) & (row[1:] == row[:-1])
     maps = PairMaps()
-    maps.add_arrays(rms[at[:-1][inner]], lms[at[1:][inner]],
-                    weight[:-1][inner])
+    maps.add_arrays(last[:-1][inner], first[1:][inner], weight[:-1][inner])
     # an encoded level symbol's symbol_rank is -entry
     ranks = np.bincount(-ent[(ent < 0) & (weight > 0)]).nonzero()[0]
     return maps, np.where(ranks <= 256, -ranks, ranks - 256)
@@ -508,7 +578,7 @@ def recompress(slp: Grammar, strategy: str = "mixed", seed: int = 42,
     """
     if not len(slp):
         raise GrammarError("cannot recompress an empty grammar")
-    lg = LevelGrammar.from_slp(slp)
+    lg = inline(LevelGrammar.from_slp(slp))
     lengths, size = lg.level_lengths()
     length = int(lengths[-1])
     if source is None:

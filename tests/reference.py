@@ -1,6 +1,7 @@
 """Rule-object reference versions of the grammar codec, validation,
-binarization and pruning, the per-phrase factorization checks, and the
-dict-building partition strategies.
+binarization and pruning, the per-phrase factorization checks, the
+dict-building partition strategies, and the engine's inlining of
+single-use rules.
 
 These walk `Grammar.rules` one `SeqRule`/`RunRule` at a time, the
 phrases one at a time, and the alphabet one symbol at a time, as the
@@ -267,3 +268,38 @@ def ref_randomized_partition(alphabet, rng: random.Random) -> Partition:
     replay under a fixed seed."""
     return Partition({sym: bool(rng.getrandbits(1))
                       for sym in _rank_order(alphabet).tolist()})
+
+
+def ref_inline(rules: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Working grammar rules (start last) with every rule referenced
+    once inlined, one rule at a time: the kept rules' right-hand sides,
+    numbered by height (ties in id order), and the layer bounds."""
+    m = len(rules)
+    refs = [0] * (m + 1)
+    for rhs in rules:
+        for e in rhs:
+            if e > 0:
+                refs[e] += 1
+    kept = [j for j in range(1, m + 1) if refs[j] != 1]
+    body = {}
+    for j in kept:
+        out: list[int] = []
+        stack = [iter(rules[j - 1])]
+        while stack:
+            for e in stack[-1]:
+                if e > 0 and refs[e] == 1:
+                    stack.append(iter(rules[e - 1]))
+                    break
+                out.append(e)
+            else:
+                stack.pop()
+        body[j] = out
+    height: dict[int, int] = {}
+    for j in kept:
+        height[j] = max((height[e] + 1 for e in body[j] if e > 0), default=0)
+    order = sorted(kept, key=height.__getitem__)
+    new = {j: i for i, j in enumerate(order, start=1)}
+    layers = [i for i in range(len(order))
+              if i == 0 or height[order[i]] != height[order[i - 1]]]
+    return ([[new[e] if e > 0 else e for e in body[j]] for j in order],
+            layers + [len(order)])

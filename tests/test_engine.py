@@ -9,14 +9,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (mutated_text, random_rlslp, random_seq_grammar,
                       random_text)
 from rlslp.engine import (LevelGrammar, _dec, _enc, bcomp,
-                          collect_pair_frequencies, compute_nocc, pcomp,
-                          recompress)
+                          collect_pair_frequencies, compute_nocc, inline,
+                          pcomp, recompress)
 from rlslp.grammar import (Grammar, GrammarError, RunRule, SeqRule,
                            decode_grammar, expand, expansion_lengths,
                            validate)
@@ -28,13 +28,14 @@ from rlslp.partition import (STRATEGIES, ConvergenceError, Partition,
                              randomized_partition, replaced_weight)
 from rlslp.pipeline import PipelineConfig, run_pipeline
 from rlslp.slg import lz_to_slg, prune_slp, slg_to_slp
+from reference import ref_inline
 
 
 def term(ch: str) -> int:
     return -(ord(ch) + 1)
 
 
-A, B = term("a"), term("b")
+A, B, C = term("a"), term("b"), term("c")
 
 
 def slp_of(t: bytes) -> Grammar:
@@ -119,6 +120,60 @@ def test_from_slp_round_trips_a_deep_comb():
     assert expand(recompress(g).grammar) == t
 
 
+# --- inlining single-use rules ------------------------------------------
+
+
+@st.composite
+def slps(draw) -> Grammar:
+    """Grammars whose import has run rules made by doubling, rules
+    referenced more than once, or a left comb of single-use rules."""
+    if draw(st.booleans()):
+        t = draw(st.lists(st.sampled_from((A, B, C)), min_size=1,
+                          max_size=200))
+        return slg_to_slp(Grammar([SeqRule(tuple(t))]))
+    rules = []
+    for i in range(1, draw(st.integers(1, 10)) + 1):
+        sym = st.integers(-3, -1)
+        if i > 1:
+            sym = st.one_of(sym, st.integers(1, i - 1))
+        if draw(st.integers(0, 3)) == 0:
+            rules.append(RunRule(draw(sym), draw(st.integers(2, 9))))
+        else:
+            rules.append(SeqRule(tuple(draw(st.lists(sym, min_size=1,
+                                                     max_size=4)))))
+    return Grammar(rules)
+
+
+@settings(max_examples=200, deadline=None)
+@given(slps())
+def test_inline_matches_reference(g):
+    assume(expansion_lengths(g)[-1] <= 20000)
+    lg = LevelGrammar.from_slp(g)
+    out = inline(lg)
+    m = len(out)
+    assert out.level_string().tolist() == lg.level_string().tolist()
+    rules, layers = ref_inline([lg.rhs(j) for j in range(1, len(lg) + 1)])
+    assert [out.rhs(j) for j in range(1, m + 1)] == rules
+    assert out.layers == layers
+    # no rule but the start is referenced once, and the start not at all
+    refs = np.bincount(out.ent[out.ent > 0], minlength=m + 1)
+    assert (refs[1:m] >= 2).all() and refs[m] == 0
+    assert inline(out) is out
+    layer = np.searchsorted(out.layers, np.arange(m + 1)) - 1
+    for j in range(1, m + 1):
+        assert all(layer[e] < layer[j] for e in out.rhs(j) if e > 0)
+    assert out.layers[-2] == m - 1
+
+
+def test_inline_flattens_a_deep_comb():
+    rng = random.Random(513)
+    t = bytes(rng.choice(b"abc") for _ in range(20000))
+    g = slg_to_slp(Grammar([SeqRule(tuple(-(c + 1) for c in t))]))
+    lg = inline(LevelGrammar.from_slp(g))
+    assert len(lg) == 1 and lg.layers == [0, 1]
+    assert lg.rhs(1) == text_to_levels(t).tolist()
+
+
 def test_level_string_matches_expansion():
     rng = random.Random(500)
     for _ in range(150):
@@ -176,6 +231,52 @@ def test_bcomp_runs_across_rule_boundaries_frozen():
     out = bcomp(LevelGrammar.from_slp(Grammar([SeqRule((A, B))])), builder)
     assert builder.rules == []
     assert out.level_string().tolist() == [A, B]
+
+
+def test_bcomp_finds_a_run_across_a_rule_boundary():
+    # bb lies between rules 1 and 2, inside no rule's entries
+    lg = LevelGrammar.from_slp(
+        Grammar([SeqRule((A, B)), SeqRule((B, C)), SeqRule((1, 2))]))
+    builder = RlslpBuilder()
+    out = bcomp(lg, builder)
+    assert out is not lg
+    assert builder.rules == [RunRule(B, 2)]
+    assert out.level_string().tolist() == [A, 1, C]
+
+
+def test_bcomp_keeps_exactly_the_grammars_without_runs():
+    rng = random.Random(514)
+    kept = rewritten = 0
+    for i in range(400):
+        lg = LevelGrammar.from_slp(random_seq_grammar(
+            rng, sigma=rng.choice((2, 3, 4))))
+        if i % 2:
+            lg = inline(lg)
+        if i % 3 and len(lg.level_string()) >= 2:
+            # a later round's grammar, over fresh pair symbols
+            lg = bcomp(lg, RlslpBuilder())
+            _, alphabet = collect_pair_frequencies(lg, compute_nocc(lg))
+            part = randomized_partition(alphabet, random.Random(i))
+            lg = pcomp(lg, part, RlslpBuilder())
+        s = lg.level_string()
+        bg, bs = RlslpBuilder(), RlslpBuilder()
+        out = bcomp(lg, bg)
+        want = bcomp_string(s, bs)
+        assert (out is lg) == (bs.productions == 0)
+        assert out.level_string().tolist() == want.tolist()
+        assert bg.rules == bs.rules
+        kept += out is lg
+        rewritten += out is not lg
+    assert kept > 50 and rewritten > 50
+
+
+def test_recompress_laps_kept_run_rounds():
+    res = recompress(slp_of(mutated_text(random.Random(515), 30, 3000)))
+    on_grammar = _grammar_rounds(res.records)
+    kept = [r for r in res.records[:on_grammar]
+            if r.phase == "bcomp" and r.new_rules == 0]
+    assert kept
+    assert all(r.rewrite_s > 0 and r.level_lengths_s > 0 for r in kept)
 
 
 def test_bcomp_long_run_across_children():
