@@ -118,8 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     _add_strategy_args(p)
     p.add_argument("--stats-out", default=None)
-    p.add_argument("--trace-out", default=None,
-                   help="TSV of per-round level string lengths")
 
     p = sub.add_parser("verify",
                        help="compare a stored grammar against a text file")
@@ -133,10 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_strategy_args(p)
     p.add_argument("--stats-out", default=None)
     p.add_argument("--verify", action="store_true",
-                   help="re-expand the result and compare with the input")
-    p.add_argument("--keep-intermediates", action="store_true")
-    p.add_argument("--lz-only", action="store_true",
-                   help="stop after the parse stage, output is the parse")
+                   help="decode and expand the output bytes before they "
+                        "are written, and compare with the input")
 
     p = sub.add_parser("bench", help="pipeline grid over inputs")
     p.add_argument("inputs", nargs="+")
@@ -212,10 +208,6 @@ def _cmd_recompress_naive(args) -> int:
     print(f"{args.output}: {size.productions} productions, "
           f"size {size.size}")
     _write_stats(args.stats_out, records_to_tsv(result.records))
-    if args.trace_out:
-        lines = ["round\tlength"]
-        lines += [f"{r.round}\t{r.length_after}" for r in result.records]
-        write_atomic(args.trace_out, ("\n".join(lines) + "\n").encode())
     return 0
 
 
@@ -230,9 +222,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     cfg = PipelineConfig(block_size=args.block_size, strategy=args.strategy,
-                         seed=args.seed, verify=args.verify,
-                         keep_intermediates=args.keep_intermediates,
-                         lz_only=args.lz_only)
+                         seed=args.seed, verify=args.verify)
     report = run_pipeline(args.input, args.output, cfg)
     _write_stats(args.stats_out, report.to_tsv())
     summary = ", ".join(f"{k}={v}" for k, v in report.counts.items())

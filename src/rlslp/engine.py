@@ -114,6 +114,22 @@ def _reachable(ptr: np.ndarray, ent: np.ndarray, root: int) -> np.ndarray:
     return alive
 
 
+def _layered(ptr: np.ndarray, ent: np.ndarray, rules: np.ndarray,
+             height: np.ndarray) -> "LevelGrammar":
+    """The given rules of the flat grammar (ptr, ent), in topological
+    order and closed under references, as a LevelGrammar: sorted by
+    height, renumbered from 1 in that order, and cut into layers."""
+    # a stable sort by height keeps the order topological
+    rules = rules[np.argsort(height[rules], kind="stable")]
+    remap = np.zeros(len(ptr), dtype=np.int64)
+    remap[rules] = np.arange(1, len(rules) + 1)
+    ent = ent[_entries_of(ptr, rules)]
+    ent = np.where(ent > 0, remap[np.maximum(ent, 0)], ent)
+    layers = [0] + _starts(height[rules])[1:].tolist() + [len(rules)]
+    lens = ptr[rules] - ptr[rules - 1]
+    return LevelGrammar(np.concatenate(([0], lens.cumsum())), ent, layers)
+
+
 class LevelGrammar:
     """Working straight-line grammar over the current level alphabet.
 
@@ -191,18 +207,8 @@ class LevelGrammar:
             ent = np.concatenate((ent, np.array(extra, dtype=np.int64)))
             ptr = np.concatenate((ptr, ptr[-1] + np.arange(2, len(extra) + 1,
                                                            2)))
-        lens = np.diff(ptr)
-        height = _heights(ptr, ent)
-        kept = _reachable(ptr, ent, m).nonzero()[0]
-        # a stable sort by height keeps the order topological
-        kept = kept[np.argsort(height[kept], kind="stable")]
-        remap = np.zeros(len(ptr), dtype=np.int64)
-        remap[kept] = np.arange(1, len(kept) + 1)
-        ent = ent[_entries_of(ptr, kept)]
-        ent = np.where(ent > 0, remap[np.maximum(ent, 0)], ent)
-        layers = [0] + _starts(height[kept])[1:].tolist() + [len(kept)]
-        lg = cls(np.concatenate(([0], np.cumsum(lens[kept - 1]))), ent,
-                 layers)
+        lg = _layered(ptr, ent, _reachable(ptr, ent, m).nonzero()[0],
+                      _heights(ptr, ent))
         # float lengths are close enough to clear all but near-limit
         # texts, which are summed again in Python integers
         if (lg._lengths(np.float64)[-1] >= 2.0 ** 62
@@ -300,22 +306,14 @@ def inline(lg: LevelGrammar) -> LevelGrammar:
         return lg
     kept = (~once[1:]).nonzero()[0] + 1
     ent, spans = lg.expansions(kept, once[np.maximum(ent, 0)] & (ent > 0))
-    # number the kept rules in id order, which is topological, then in
-    # height order; a stable sort keeps that order topological
+    # number the kept rules in id order, which is topological, to find
+    # their heights
     k = len(kept)
     remap = np.zeros(m + 1, dtype=np.int64)
     remap[kept] = np.arange(1, k + 1)
     ent = np.where(ent > 0, remap[np.maximum(ent, 0)], ent)
     ptr = np.concatenate(([0], spans.cumsum()))
-    height = _heights(ptr, ent)
-    order = np.argsort(height[1:], kind="stable") + 1
-    rank = np.zeros(k + 1, dtype=np.int64)
-    rank[order] = np.arange(1, k + 1)
-    ent = ent[_entries_of(ptr, order)]
-    ent = np.where(ent > 0, rank[np.maximum(ent, 0)], ent)
-    layers = [0] + _starts(height[order])[1:].tolist() + [k]
-    return LevelGrammar(np.concatenate(([0], spans[order - 1].cumsum())),
-                        ent, layers)
+    return _layered(ptr, ent, np.arange(1, k + 1), _heights(ptr, ent))
 
 
 def _rewrite(lg: LevelGrammar, own: tuple, step, add) -> LevelGrammar:
@@ -523,7 +521,7 @@ def collect_pair_frequencies(lg: LevelGrammar, occ: np.ndarray
     maps.add_arrays(last[:-1][inner], first[1:][inner], weight[:-1][inner])
     # an encoded level symbol's symbol_rank is -entry
     ranks = np.bincount(-ent[(ent < 0) & (weight > 0)]).nonzero()[0]
-    return maps, np.where(ranks <= 256, -ranks, ranks - 256)
+    return maps, _dec(-ranks)
 
 
 def _pair_up(val, key, side, r, start):

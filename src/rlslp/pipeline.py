@@ -2,9 +2,10 @@
 
 Four stages: approximate LZ parse, factorization to grammar, pruning,
 then grammar-level recompression; on request a fifth, verify, checks
-that the output expands back to the input.  Each stage is timed and its
-allocation peak recorded, so engine comparisons can be made without the
-input text buffer polluting the numbers.
+that the bytes about to be written decode and expand back to the input.
+Each stage is timed and its allocation peak recorded, so engine
+comparisons can be made without the input text buffer polluting the
+numbers.
 
 Only the parse reads the text.  The pipeline drops it once the parse
 returns, so the later stages run in memory that tracks the grammar, not
@@ -24,8 +25,7 @@ from pathlib import Path
 
 from .engine import recompress
 from .grammar import Grammar, encode_grammar, grammar_size, iter_expansion
-from .lz import (decode_factorization, encode_factorization,
-                 parse_bentley_mcilroy)
+from .lz import parse_bentley_mcilroy
 from .partition import STRATEGIES
 from .slg import lz_to_slg, prune_slp
 
@@ -42,12 +42,15 @@ class PipelineError(RuntimeError):
 
 @dataclass
 class PipelineConfig:
+    """Settings of one `run_pipeline` call: the parse's block size, the
+    pair-partition strategy and its seed, whether to verify the encoded
+    output before it is written, and whether to record allocation peaks.
+    """
+
     block_size: int = 50
     strategy: str = "mixed"
     seed: int = 42
     verify: bool = False
-    keep_intermediates: bool = False
-    lz_only: bool = False
     # allocation tracing roughly triples stage cost; switch it off for
     # timing-sensitive runs and peak_alloc reads as 0
     profile_memory: bool = True
@@ -157,11 +160,16 @@ def _first_mismatch(chunks: Iterable[bytes], read: Callable[[int], bytes]
     return None
 
 
-def _first_mismatch_in_file(chunks: Iterable[bytes], text_path: str | Path
-                            ) -> int | None:
-    """_first_mismatch of the chunks against a file, read as a stream."""
+def _slgf_mismatch(data: bytes, text_path: str | Path) -> int | None:
+    """First offset where the grammar that the `.slgf` bytes data encode
+    expands differently from the text file, None if they are equal."""
+    # looked up on the module on each call, so that a wrapper installed
+    # on grammar.decode_grammar (perfbench's spans) sees the call
+    from .grammar import decode_grammar
+
+    g = decode_grammar(data)
     with open(text_path, "rb") as fh:
-        return _first_mismatch(chunks, fh.read)
+        return _first_mismatch(iter_expansion(g), fh.read)
 
 
 def verify_expansion(g: Grammar, text: bytes) -> int | None:
@@ -172,36 +180,21 @@ def verify_expansion(g: Grammar, text: bytes) -> int | None:
 def verify_files(grammar_path: str | Path, text_path: str | Path
                  ) -> tuple[bool, int | None]:
     """Streaming comparison of a stored grammar against a text file."""
-    from .grammar import decode_grammar
-
-    g = decode_grammar(Path(grammar_path).read_bytes())
-    offset = _first_mismatch_in_file(iter_expansion(g), text_path)
+    offset = _slgf_mismatch(Path(grammar_path).read_bytes(), text_path)
     return offset is None, offset
-
-
-def _verify_stage(report: StatsReport, offset: Callable[[], int | None],
-                  profile: bool) -> None:
-    """The timed verify stage: offset() gives the first mismatch between
-    the stage's output and the input text, which must be None."""
-    def check() -> None:
-        found = offset()
-        if found is not None:
-            raise PipelineError(
-                "verify", f"expansion mismatch at offset {found}")
-
-    run_stage(report, "verify", check, profile=profile)
 
 
 def run_pipeline(input_path: str | Path, output_path: str | Path,
                  cfg: PipelineConfig | None = None) -> StatsReport:
     """Compress a text file into a stored run-length grammar.
 
-    Writes the grammar to output_path (or the factorization, when only
-    the parse stage is selected) once every stage, and the verification
-    if asked for, has succeeded, and returns the stats report; the
-    caller persists the report wherever it wants it.  The text is held
-    only until the parse returns, the factorization until `lz_to_slg`
-    returns; verification reads input_path again.
+    Parses, builds the grammar, prunes and recompresses it, and encodes
+    the result.  With `cfg.verify`, the verify stage decodes those very
+    bytes and compares their expansion with input_path, streamed from
+    disk.  The bytes are written to output_path only once every stage
+    has succeeded, and the stats report is returned; the caller persists
+    it wherever it wants it.  The text is held only until the parse
+    returns, the factorization until `lz_to_slg` returns.
     """
     cfg = cfg or PipelineConfig()
     input_path = Path(input_path)
@@ -218,27 +211,15 @@ def run_pipeline(input_path: str | Path, output_path: str | Path,
                    profile=prof)
     del text
     report.counts["phrases"] = len(fz)
-    if cfg.lz_only:
-        if cfg.verify:
-            _verify_stage(report, lambda: _first_mismatch_in_file(
-                [decode_factorization(fz)], input_path), prof)
-        write_atomic(output_path, encode_factorization(fz))
-        return report
-    if cfg.keep_intermediates:
-        write_atomic(str(output_path) + ".lzpf", encode_factorization(fz))
 
     slg = run_stage(report, "lz_to_slg", lambda: lz_to_slg(fz),
                     profile=prof)
     del fz
     report.counts["slg_rules"] = len(slg)
-    if cfg.keep_intermediates:
-        write_atomic(str(output_path) + ".slg", encode_grammar(slg))
 
     pruned = run_stage(report, "prune_slp", lambda: prune_slp(slg),
                        profile=prof)
     report.counts["pruned_rules"] = len(pruned)
-    if cfg.keep_intermediates:
-        write_atomic(str(output_path) + ".pruned", encode_grammar(pruned))
 
     result = run_stage(report, "recompress",
                        lambda: recompress(pruned, cfg.strategy, cfg.seed),
@@ -249,7 +230,11 @@ def run_pipeline(input_path: str | Path, output_path: str | Path,
     data = encode_grammar(result.grammar)
 
     if cfg.verify:
-        _verify_stage(report, lambda: _first_mismatch_in_file(
-            iter_expansion(result.grammar), input_path), prof)
+        offset = run_stage(report, "verify",
+                           lambda: _slgf_mismatch(data, input_path),
+                           profile=prof)
+        if offset is not None:
+            raise PipelineError("verify",
+                                f"expansion mismatch at offset {offset}")
     write_atomic(output_path, data)
     return report

@@ -148,48 +148,6 @@ def test_run_pipeline_is_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_run_pipeline_lz_only(tmp_path):
-    inp, data = _write_corpus(tmp_path, size=10000)
-    out = tmp_path / "g.lzpf"
-    report = run_pipeline(inp, out, PipelineConfig(lz_only=True))
-    assert [s.name for s in report.stages] == ["parse_bm"]
-    fz = decode_factorization_bytes(out.read_bytes())
-    assert decode_factorization(fz) == data
-    assert report.counts["phrases"] == len(fz.phrases)
-
-
-def test_cli_lz_only_verify(tmp_path):
-    inp = tmp_path / "in.bin"
-    inp.write_bytes(b"abcabcabcabcxyzxyz")
-    out = tmp_path / "o.lzpf"
-    stats = tmp_path / "stats.tsv"
-    assert cli.main(["pipeline", str(inp), str(out), "--lz-only",
-                     "--verify", "--block-size", "3",
-                     "--stats-out", str(stats)]) == 0
-    fz = decode_factorization_bytes(out.read_bytes())
-    assert decode_factorization(fz) == inp.read_bytes()
-    assert any(p.length > 0 for p in fz.phrases)
-    assert "verify\tseconds\t" in stats.read_text()
-
-
-def test_lz_only_verify_rejects_wrong_parse(tmp_path, monkeypatch):
-    import rlslp.pipeline
-    inp = tmp_path / "in.bin"
-    inp.write_bytes(b"abcabcabcabcxyzxyz")
-    out = tmp_path / "o.lzpf"
-    # a valid factorization of the right length that spells "abcabcabcab"
-    # then the wrong byte at offset 11
-    wrong = Factorization([Phrase(ord(c), 0) for c in "abc"] + [Phrase(1, 8)]
-                          + [Phrase(ord(c), 0) for c in "Xxyzxyz"], 18)
-    monkeypatch.setattr(rlslp.pipeline, "parse_bentley_mcilroy",
-                        lambda text, block_size: wrong)
-    with pytest.raises(PipelineError) as exc:
-        run_pipeline(inp, out, PipelineConfig(lz_only=True, verify=True))
-    assert exc.value.stage == "verify"
-    assert "offset 11" in str(exc.value)
-    assert [p.name for p in tmp_path.iterdir()] == ["in.bin"]
-
-
 def test_verify_stage_rejects_wrong_expansion(tmp_path, monkeypatch):
     import rlslp.pipeline
     inp, data = _write_corpus(tmp_path, size=5000)
@@ -204,17 +162,20 @@ def test_verify_stage_rejects_wrong_expansion(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-def test_run_pipeline_keep_intermediates(tmp_path):
-    inp, data = _write_corpus(tmp_path, size=10000)
+def test_verify_stage_checks_the_written_bytes(tmp_path, monkeypatch):
+    import rlslp.pipeline
+    inp, _ = _write_corpus(tmp_path, size=5000)
     out = tmp_path / "g.slgf"
-    run_pipeline(inp, out, PipelineConfig(keep_intermediates=True))
-    for suffix in (".lzpf", ".slg", ".pruned"):
-        assert (tmp_path / ("g.slgf" + suffix)).exists()
-    # lz_to_slg output is already an SLP, so there is no binarized copy
-    assert not (tmp_path / "g.slgf.slp").exists()
-    for suffix in (".slg", ".pruned"):
-        g = decode_grammar((tmp_path / ("g.slgf" + suffix)).read_bytes())
-        assert expand(g) == data
+
+    def corrupt(g):
+        data = encode_grammar(g)
+        return data[:-1] + bytes([data[-1] ^ 1])
+
+    monkeypatch.setattr(rlslp.pipeline, "encode_grammar", corrupt)
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(inp, out, PipelineConfig(verify=True))
+    assert exc.value.stage == "verify"
+    assert [p.name for p in tmp_path.iterdir()] == ["in.bin"]
 
 
 def test_run_pipeline_empty_input(tmp_path):
@@ -267,7 +228,6 @@ def test_cli_stage_commands_chain(tmp_path):
     slp = tmp_path / "a.slp"
     pruned = tmp_path / "a.pruned"
     final = tmp_path / "a.slgf"
-    trace = tmp_path / "trace.tsv"
     assert cli.main(["parse-bm", str(data_path), str(lz),
                      "--block-size", "16"]) == 0
     assert cli.main(["lz-to-slg", str(lz), str(slg)]) == 0
@@ -279,20 +239,33 @@ def test_cli_stage_commands_chain(tmp_path):
     naive_out = tmp_path / "naive.slgf"
     rounds = tmp_path / "rounds.tsv"
     assert cli.main(["recompress-naive", str(data_path), str(naive_out),
-                     "--trace-out", str(trace),
                      "--stats-out", str(rounds)]) == 0
     assert naive_out.read_bytes() == final.read_bytes()
-    lines = trace.read_text().strip().split("\n")
-    assert lines[0] == "round\tlength"
-    assert int(lines[-1].split("\t")[1]) == 1
-    metrics = {line.split("\t")[2]
-               for line in rounds.read_text().splitlines()[1:]}
-    assert {"seconds", "work_size"} <= metrics
+    rows = [line.split("\t") for line in rounds.read_text().splitlines()]
+    assert rows[0] == ["round", "phase", "metric", "value"]
+    lengths = [int(r[3]) for r in rows[1:] if r[2] == "length_after"]
+    assert lengths[-1] == 1
+    assert {"seconds", "work_size"} <= {r[2] for r in rows[1:]}
 
     exact = tmp_path / "exact.lzpf"
     assert cli.main(["parse-exact", str(data_path), str(exact)]) == 0
     fz = decode_factorization_bytes(exact.read_bytes())
     assert decode_factorization(fz) == data_path.read_bytes()
+
+
+def test_cli_verify_rejects_wrong_parse(tmp_path, capsys):
+    inp = tmp_path / "in.bin"
+    inp.write_bytes(b"abcabcabcabcxyzxyz")
+    lz, slg = tmp_path / "o.lzpf", tmp_path / "o.slg"
+    # a valid factorization of the right length that spells "abcabcabcab"
+    # then the wrong byte at offset 11
+    lz.write_bytes(encode_factorization(Factorization(
+        [Phrase(ord(c), 0) for c in "abc"] + [Phrase(1, 8)]
+        + [Phrase(ord(c), 0) for c in "Xxyzxyz"], 18)))
+    assert cli.main(["lz-to-slg", str(lz), str(slg)]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", str(slg), str(inp)]) == 1
+    assert "mismatch at offset 11" in capsys.readouterr().out
 
 
 def test_cli_error_paths(tmp_path, capsys):
