@@ -3,8 +3,8 @@
 Builds a run-length straight-line grammar of a text by alternating run
 and pair replacement rounds, done symbolically on a grammar of the text
 rather than on the text itself.  Ships an approximate LZ parser, a
-factorization-to-grammar builder, pruning, a string-level reference
-engine, and a benchmark harness.
+factorization-to-grammar builder, pruning, and a string-level reference
+engine.
 """
 
 from .dataset import gen_dataset, load_sample
@@ -25,7 +25,7 @@ from .partition import (ConvergenceError, PairMaps, Partition,
 from .pipeline import (PipelineConfig, PipelineError, StageStat,
                        StatsReport, run_pipeline, verify_expansion,
                        verify_files)
-from .slg import lz_to_slg, prune_slp, slg_to_slp
+from .slg import lz_to_slg, prune_slp
 
 __version__ = "0.1.0"
 
@@ -40,6 +40,6 @@ __all__ = [
     "factorization_stats", "gen_dataset", "grammar_size", "iter_expansion",
     "load_sample", "lz_to_slg", "parse_bentley_mcilroy", "parse_exact_lz77",
     "prune_slp", "recompress", "recompress_string", "records_to_tsv",
-    "run_pipeline", "slg_to_slp", "term", "term_byte", "validate",
+    "run_pipeline", "term", "term_byte", "validate",
     "verify_expansion", "verify_files",
 ]

@@ -1,8 +1,8 @@
 """Command-line front end for the toolkit.
 
 One subcommand per pipeline stage, plus dataset generation, end-to-end
-runs, artifact verification, and the benchmark grid.  All diagnostics
-go to stderr tagged with the failing stage; exit code 0 means success.
+runs and artifact verification.  All diagnostics go to stderr tagged
+with the failing stage; exit code 0 means success.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import bench_to_tsv, run_bench
 from .dataset import gen_dataset, load_sample
 from .engine import recompress
 from .grammar import (GrammarError, FormatError, decode_grammar,
@@ -24,7 +23,7 @@ from .partition import (STRATEGIES, ConvergenceError, PartitionError,
                         records_to_tsv)
 from .pipeline import (PipelineConfig, PipelineError, run_pipeline,
                        verify_files, write_atomic)
-from .slg import lz_to_slg, prune_slp, slg_to_slp
+from .slg import lz_to_slg, prune_slp
 
 _SIZE_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
 
@@ -43,14 +42,6 @@ def parse_size(value: str) -> int:
     if n < 0:
         raise argparse.ArgumentTypeError("size must be nonnegative")
     return n
-
-
-def _int_list(value: str) -> list[int]:
-    return [int(part) for part in value.split(",") if part]
-
-
-def _str_list(value: str) -> list[str]:
-    return [part for part in value.split(",") if part]
 
 
 def _add_strategy_args(p: argparse.ArgumentParser) -> None:
@@ -97,16 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
 
-    p = sub.add_parser("slg-to-slp", help="binarize a grammar")
-    p.add_argument("input")
-    p.add_argument("output")
-
     p = sub.add_parser("prune", help="drop redundant and unreachable rules")
     p.add_argument("input")
     p.add_argument("output")
 
     p = sub.add_parser("recompress",
-                       help="run-length grammar from an SLP, grammar-level")
+                       help="run-length grammar from any .slgf, grammar-level")
     p.add_argument("input")
     p.add_argument("output")
     _add_strategy_args(p)
@@ -133,19 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="decode and expand the output bytes before they "
                         "are written, and compare with the input")
-
-    p = sub.add_parser("bench", help="pipeline grid over inputs")
-    p.add_argument("inputs", nargs="+")
-    p.add_argument("--block-sizes", type=_int_list, default=[50],
-                   help="comma-separated, e.g. 20,50,100,500")
-    p.add_argument("--strategies", type=_str_list, default=["mixed"])
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--reference", action="store_true",
-                   help="also run the string-level engine on each input")
-    p.add_argument("--stats-out", default=None,
-                   help="TSV table path (default: stdout)")
-    p.add_argument("--workdir", default=None,
-                   help="keep grid artifacts here instead of a temp dir")
     return parser
 
 
@@ -181,11 +155,10 @@ def _cmd_lz_to_slg(args) -> int:
     return 0
 
 
-def _transform(args, fn) -> int:
-    g = decode_grammar(Path(args.input).read_bytes())
-    out = fn(g)
-    write_atomic(args.output, encode_grammar(out))
-    print(f"{args.output}: {len(out)} rules")
+def _cmd_prune(args) -> int:
+    g = prune_slp(decode_grammar(Path(args.input).read_bytes()))
+    write_atomic(args.output, encode_grammar(g))
+    print(f"{args.output}: {len(g)} rules")
     return 0
 
 
@@ -221,26 +194,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    # the stats file is the only reader of the allocation peaks, and
+    # tracing them costs 6-10x
     cfg = PipelineConfig(block_size=args.block_size, strategy=args.strategy,
-                         seed=args.seed, verify=args.verify)
+                         seed=args.seed, verify=args.verify,
+                         profile_memory=args.stats_out is not None)
     report = run_pipeline(args.input, args.output, cfg)
     _write_stats(args.stats_out, report.to_tsv())
     summary = ", ".join(f"{k}={v}" for k, v in report.counts.items())
     print(f"{args.output}: {summary}, "
           f"{report.total_seconds():.2f}s")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    rows = run_bench(args.inputs, args.block_sizes, args.strategies,
-                     args.seed, include_reference=args.reference,
-                     workdir=args.workdir)
-    table = bench_to_tsv(rows)
-    if args.stats_out:
-        write_atomic(args.stats_out, table.encode())
-        print(f"{args.stats_out}: {len(rows)} rows")
-    else:
-        sys.stdout.write(table)
     return 0
 
 
@@ -251,13 +214,11 @@ def main(argv=None) -> int:
         "parse-bm": lambda a: _cmd_parse(a, exact=False),
         "parse-exact": lambda a: _cmd_parse(a, exact=True),
         "lz-to-slg": _cmd_lz_to_slg,
-        "slg-to-slp": lambda a: _transform(a, slg_to_slp),
-        "prune": lambda a: _transform(a, prune_slp),
+        "prune": _cmd_prune,
         "recompress": _cmd_recompress,
         "recompress-naive": _cmd_recompress_naive,
         "verify": _cmd_verify,
         "pipeline": _cmd_pipeline,
-        "bench": _cmd_bench,
     }
     try:
         return handlers[args.cmd](args)

@@ -3,9 +3,9 @@
 Four stages: approximate LZ parse, factorization to grammar, pruning,
 then grammar-level recompression; on request a fifth, verify, checks
 that the bytes about to be written decode and expand back to the input.
-Each stage is timed and its allocation peak recorded, so engine
-comparisons can be made without the input text buffer polluting the
-numbers.
+Each stage is timed and, on request, its allocation peak recorded, so
+engine comparisons can be made without the input text buffer polluting
+the numbers.
 
 Only the parse reads the text.  The pipeline drops it once the parse
 returns, so the later stages run in memory that tracks the grammar, not
@@ -51,9 +51,9 @@ class PipelineConfig:
     strategy: str = "mixed"
     seed: int = 42
     verify: bool = False
-    # allocation tracing roughly triples stage cost; switch it off for
-    # timing-sensitive runs and peak_alloc reads as 0
-    profile_memory: bool = True
+    # allocation tracing makes the stages 6-10x slower, so it is off
+    # unless asked for; off, peak_alloc reads as 0
+    profile_memory: bool = False
 
     def __post_init__(self) -> None:
         if self.block_size < 2:

@@ -1,10 +1,10 @@
-"""Factorization-to-grammar conversion and grammar normalization.
+"""Factorization-to-grammar conversion and grammar pruning.
 
 lz_to_slg turns an LZ factorization into a straight-line grammar by
 keeping a height-balanced concatenation tree over the processed prefix;
 every phrase is materialized from O(log n) existing nodes, and only the
-rules reachable from the final root are emitted.  slg_to_slp binarizes
-wide rules, prune_slp removes dead, chain and duplicate rules.
+rules reachable from the final root are emitted.  prune_slp removes
+dead, chain and duplicate rules.
 """
 
 from __future__ import annotations
@@ -371,45 +371,6 @@ def lz_to_slg(fz: Factorization) -> Grammar:
     if not root.spine:
         return Grammar()
     return b.live_grammar(root.collapse(0))
-
-
-def slg_to_slp(g: Grammar) -> Grammar:
-    """Left-comb binarization: every Sequence rule gets rhs length <= 2.
-
-    A rule x0 x1 ... xk with k >= 2 becomes the k rules (x0 x1),
-    (r1 x2), ..., (r(k-1) xk), each r the rule before, and the last one
-    takes the old rule's place.
-    """
-    if not (~g.run & (np.diff(g.ptr) > 2)).any():
-        return g
-    ent, ptr, run = g.ent.tolist(), g.ptr.tolist(), g.run.tolist()
-    remap = [0] * (len(g) + 1)
-    out: list[int] = []
-    sizes: list[int] = []
-    runs: list[bool] = []
-    for i, is_run in enumerate(run, start=1):
-        a = ptr[i - 1]
-        if is_run:
-            base = ent[a]
-            rhs = [base if base < 0 else remap[base], ent[a + 1]]
-        else:
-            rhs = [s if s < 0 else remap[s] for s in ent[a:ptr[i]]]
-            if len(rhs) > 2:
-                x = rhs[0]
-                for s in rhs[1:-1]:
-                    out += (x, s)
-                    sizes.append(2)
-                    runs.append(False)
-                    x = len(sizes)
-                rhs = [x, rhs[-1]]
-        out += rhs
-        sizes.append(len(rhs))
-        runs.append(is_run)
-        remap[i] = len(sizes)
-    return Grammar.from_arrays(
-        np.array(out, dtype=np.int64),
-        np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
-        np.array(runs, dtype=bool), g.alphabet_size)
 
 
 # multiplier of the rule hash that _is_pruned compares rules by

@@ -1,7 +1,7 @@
-"""Rule-object reference versions of the grammar codec, validation,
-binarization and pruning, the per-phrase factorization checks, the
-dict-building partition strategies, and the engine's inlining of
-single-use rules.
+"""Rule-object reference versions of the grammar codec, validation and
+pruning, the per-phrase factorization checks, the dict-building
+partition strategies, and the engine's inlining of single-use rules;
+and a left-comb binarization that tests use to build deep grammars.
 
 These walk `Grammar.rules` one `SeqRule`/`RunRule` at a time, the
 phrases one at a time, and the alphabet one symbol at a time, as the
@@ -168,6 +168,8 @@ def ref_prune(g: Grammar) -> Grammar:
 
 
 def ref_slg_to_slp(g: Grammar) -> Grammar:
+    """Each sequence rule x0 x1 ... xk as the left comb (x0 x1),
+    (r1 x2), ..., (r(k-1) xk), the last one taking the old rule's place."""
     if all(isinstance(r, RunRule) or len(r.rhs) <= 2 for r in g.rules):
         return g
     remap: list[int] = [0] * (len(g.rules) + 1)

@@ -23,7 +23,7 @@ from rlslp.lz import Phrase, parse_bentley_mcilroy, parse_exact_lz77
 from rlslp.naive import recompress_string
 from rlslp.partition import PartitionSource
 from rlslp.pipeline import PipelineConfig, StatsReport, run_pipeline, run_stage
-from rlslp.slg import lz_to_slg, prune_slp, slg_to_slp
+from rlslp.slg import lz_to_slg, prune_slp
 
 SIGMAS = (1, 2, 4, 256)
 
@@ -36,7 +36,7 @@ def sized_text(rng: random.Random, n: int) -> bytes:
 
 
 def slp_of(t: bytes):
-    return prune_slp(slg_to_slp(lz_to_slg(parse_bentley_mcilroy(t, 8))))
+    return prune_slp(lz_to_slg(parse_bentley_mcilroy(t, 8)))
 
 
 @pytest.fixture(scope="module")
@@ -216,8 +216,7 @@ def test_criterion_08_block_size_trend(tmp_path, trend_input_4m):
 
 
 def test_criterion_09_strategy_tradeoff(trend_input_4m):
-    slp = prune_slp(slg_to_slp(lz_to_slg(
-        parse_bentley_mcilroy(trend_input_4m, 50))))
+    slp = prune_slp(lz_to_slg(parse_bentley_mcilroy(trend_input_4m, 50)))
     prods = {s: len(recompress(slp, strategy=s, seed=42).grammar.rules)
              for s in ("det", "rand", "mixed")}
     assert prods["det"] <= prods["rand"]
@@ -236,9 +235,11 @@ def test_criterion_10_compressed_vs_reference(tmp_path):
         inp.write_bytes(text)
         out = tmp_path / f"ref{rate}.slgf"
         gc.collect()
-        report = run_pipeline(inp, out, PipelineConfig(block_size=50))
+        report = run_pipeline(inp, out, PipelineConfig(block_size=50,
+                                                       profile_memory=True))
         grammar_peak = max(s.peak_alloc for s in report.stages
                            if s.name != "parse_bm")
+        assert grammar_peak > 0
 
         ref_report = StatsReport()
         gc.collect()

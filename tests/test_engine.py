@@ -27,8 +27,8 @@ from rlslp.partition import (STRATEGIES, ConvergenceError, Partition,
                              PartitionSource, RlslpBuilder,
                              randomized_partition, replaced_weight)
 from rlslp.pipeline import PipelineConfig, run_pipeline
-from rlslp.slg import lz_to_slg, prune_slp, slg_to_slp
-from reference import ref_inline
+from rlslp.slg import lz_to_slg, prune_slp
+from reference import ref_inline, ref_slg_to_slp
 
 
 def term(ch: str) -> int:
@@ -39,7 +39,7 @@ A, B, C = term("a"), term("b"), term("c")
 
 
 def slp_of(t: bytes) -> Grammar:
-    return prune_slp(slg_to_slp(lz_to_slg(parse_bentley_mcilroy(t, 8))))
+    return prune_slp(lz_to_slg(parse_bentley_mcilroy(t, 8)))
 
 
 # --- symbol encoding ---------------------------------------------------
@@ -110,10 +110,10 @@ def test_from_slp_drops_unreachable_rules():
 
 
 def test_from_slp_round_trips_a_deep_comb():
-    # slg_to_slp makes one long rule a left comb, one layer per symbol
+    # ref_slg_to_slp makes one long rule a left comb, one layer per symbol
     rng = random.Random(513)
     t = bytes(rng.choice(b"abc") for _ in range(20000))
-    g = slg_to_slp(Grammar([SeqRule(tuple(-(c + 1) for c in t))]))
+    g = ref_slg_to_slp(Grammar([SeqRule(tuple(-(c + 1) for c in t))]))
     lg = LevelGrammar.from_slp(g)
     assert len(lg.layers) == 20000
     assert lg.level_string().tolist() == text_to_levels(t).tolist()
@@ -130,7 +130,7 @@ def slps(draw) -> Grammar:
     if draw(st.booleans()):
         t = draw(st.lists(st.sampled_from((A, B, C)), min_size=1,
                           max_size=200))
-        return slg_to_slp(Grammar([SeqRule(tuple(t))]))
+        return ref_slg_to_slp(Grammar([SeqRule(tuple(t))]))
     rules = []
     for i in range(1, draw(st.integers(1, 10)) + 1):
         sym = st.integers(-3, -1)
@@ -168,7 +168,7 @@ def test_inline_matches_reference(g):
 def test_inline_flattens_a_deep_comb():
     rng = random.Random(513)
     t = bytes(rng.choice(b"abc") for _ in range(20000))
-    g = slg_to_slp(Grammar([SeqRule(tuple(-(c + 1) for c in t))]))
+    g = ref_slg_to_slp(Grammar([SeqRule(tuple(-(c + 1) for c in t))]))
     lg = inline(LevelGrammar.from_slp(g))
     assert len(lg) == 1 and lg.layers == [0, 1]
     assert lg.rhs(1) == text_to_levels(t).tolist()

@@ -1,12 +1,14 @@
-"""Dataset generation, the end-to-end pipeline, CLI, and bench grid."""
+"""Dataset generation, the end-to-end pipeline, CLI, and README drift."""
 
 import random
+import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rlslp import cli
-from rlslp.bench import COLUMNS, bench_to_tsv, run_bench
 from rlslp.dataset import gen_dataset, load_sample
 from rlslp.grammar import (FormatError, Grammar, RunRule, SeqRule,
                            decode_grammar, encode_grammar, expand)
@@ -193,6 +195,33 @@ def test_pipeline_config_validation():
         PipelineConfig(strategy="bogus")
 
 
+def test_allocation_peaks_traced_only_for_stats_out(tmp_path, monkeypatch):
+    import rlslp.pipeline
+    inp, _ = _write_corpus(tmp_path, size=20000)
+    stats = tmp_path / "stats.tsv"
+    assert cli.main(["pipeline", str(inp), str(tmp_path / "a.slgf"),
+                     "--stats-out", str(stats)]) == 0
+    rows = [line.split("\t") for line in stats.read_text().splitlines()]
+    peaks = {name: int(value) for name, metric, value in rows
+             if metric == "peak_alloc_bytes"}
+    assert all(peaks[name] > 0
+               for name in ("parse_bm", "lz_to_slg", "recompress"))
+
+    traced = []
+    recompress = rlslp.pipeline.recompress
+
+    def spy(*args):
+        traced.append(tracemalloc.is_tracing())
+        return recompress(*args)
+
+    monkeypatch.setattr(rlslp.pipeline, "recompress", spy)
+    assert cli.main(["pipeline", str(inp), str(tmp_path / "b.slgf")]) == 0
+    report = run_pipeline(inp, tmp_path / "c.slgf", PipelineConfig())
+    assert traced == [False, False]
+    assert [s.peak_alloc for s in report.stages] == [0, 0, 0, 0]
+    assert not tracemalloc.is_tracing()
+
+
 # --- command line -------------------------------------------------------
 
 
@@ -225,14 +254,12 @@ def test_cli_stage_commands_chain(tmp_path):
     data_path.write_bytes(gen_dataset(b"abracadabra", 5000, 0.02, seed=2))
     lz = tmp_path / "a.lzpf"
     slg = tmp_path / "a.slg"
-    slp = tmp_path / "a.slp"
     pruned = tmp_path / "a.pruned"
     final = tmp_path / "a.slgf"
     assert cli.main(["parse-bm", str(data_path), str(lz),
                      "--block-size", "16"]) == 0
     assert cli.main(["lz-to-slg", str(lz), str(slg)]) == 0
-    assert cli.main(["slg-to-slp", str(slg), str(slp)]) == 0
-    assert cli.main(["prune", str(slp), str(pruned)]) == 0
+    assert cli.main(["prune", str(slg), str(pruned)]) == 0
     assert cli.main(["recompress", str(pruned), str(final)]) == 0
     assert cli.main(["verify", str(final), str(data_path)]) == 0
 
@@ -364,37 +391,14 @@ def test_cli_parse_size_suffixes():
         cli.parse_size("12Q")
 
 
-# --- bench --------------------------------------------------------------
+# --- README ---------------------------------------------------------------
 
 
-def test_bench_grid_rows(tmp_path):
-    inp, _ = _write_corpus(tmp_path, size=15000)
-    rows = run_bench([inp], block_sizes=(16, 64), strategies=("det", "mixed"),
-                     seed=1, workdir=tmp_path)
-    assert len(rows) == 4
-    configs = {(r["block_size"], r["strategy"]) for r in rows}
-    assert configs == {(16, "det"), (16, "mixed"), (64, "det"), (64, "mixed")}
-    for r in rows:
-        assert r["algorithm"] == "pipeline"
-        assert r["input_bytes"] == 15000
-        assert r["productions"] > 0
-        assert r["seconds_total"] > 0
-
-
-def test_bench_reference_rows(tmp_path):
-    inp, _ = _write_corpus(tmp_path, size=8000)
-    rows = run_bench([inp], block_sizes=(32,), strategies=("mixed",),
-                     include_reference=True, workdir=tmp_path)
-    algos = [r["algorithm"] for r in rows]
-    assert algos.count("pipeline") == 1
-    assert algos.count("reference") == 1
-    ref = next(r for r in rows if r["algorithm"] == "reference")
-    pipe = next(r for r in rows if r["algorithm"] == "pipeline")
-    # identical partitions, identical grammar
-    assert ref["productions"] == pipe["productions"]
-
-    tsv = bench_to_tsv(rows)
-    lines = tsv.strip().split("\n")
-    assert lines[0] == "\t".join(COLUMNS)
-    assert len(lines) == 3
-    assert all(len(line.split("\t")) == len(COLUMNS) for line in lines)
+def test_readme_names_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Stage commands", 1)[1].split("\n## ", 1)[0]
+    table = re.findall(r"^\| `([a-z-]+)` ", section, flags=re.M)
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "cmd")
+    assert table and set(table) <= set(sub.choices)
+    for name in sub.choices:
+        assert f"`{name}`" in readme or f"rlslp {name} " in readme, name

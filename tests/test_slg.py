@@ -1,4 +1,4 @@
-"""Factorization-to-grammar conversion, binarization, pruning."""
+"""Factorization-to-grammar conversion and pruning."""
 
 import hashlib
 import math
@@ -15,7 +15,7 @@ from rlslp.grammar import (Grammar, GrammarError, RunRule, SeqRule, expand,
                            term, validate)
 from rlslp.lz import (FP_MOD, Factorization, ParseError, Phrase,
                       parse_bentley_mcilroy, parse_exact_lz77)
-from rlslp.slg import _Builder, lz_to_slg, prune_slp, slg_to_slp
+from rlslp.slg import _Builder, lz_to_slg, prune_slp
 
 
 class EagerBuilder:
@@ -330,36 +330,6 @@ def test_size_bound_four_f_log_n():
         assert len(g.rules) <= bound
 
 
-def test_binarize_left_comb_count():
-    g = Grammar([SeqRule((-1, -2, -3, -4))])
-    slp = slg_to_slp(g)
-    assert len(slp.rules) == 3
-    assert all(len(r.rhs) == 2 for r in slp.rules)
-    assert expand(slp) == bytes([0, 1, 2, 3])
-
-
-def test_binarize_keeps_already_binary():
-    g = Grammar([SeqRule((-1, -2)), SeqRule((1, 1))])
-    assert slg_to_slp(g).rules == g.rules
-
-
-def test_binarize_preserves_expansion():
-    rng = random.Random(203)
-    for _ in range(100):
-        g = random_seq_grammar(rng, max_rhs=6)
-        slp = slg_to_slp(g)
-        assert validate(slp).ok
-        assert all(isinstance(r, RunRule) or len(r.rhs) <= 2
-                   for r in slp.rules)
-        assert expand(slp) == expand(g)
-
-
-def test_binarize_handles_run_rules():
-    g = Grammar([SeqRule((-1, -2, -1)), RunRule(1, 3), SeqRule((1, 2, -2))])
-    slp = slg_to_slp(g)
-    assert expand(slp) == expand(g)
-
-
 def test_prune_removes_unreachable():
     g = Grammar([SeqRule((-1, -2)), SeqRule((-3, -3)), SeqRule((1, -4))])
     pruned = prune_slp(g)
@@ -413,10 +383,8 @@ def test_prune_keeps_terminal_singleton_start():
 def test_three_stage_semantics_property(t, block_size):
     fz = parse_bentley_mcilroy(t, block_size)
     g = lz_to_slg(fz)
-    slp = slg_to_slp(g)
-    pruned = prune_slp(slp)
+    pruned = prune_slp(g)
     assert expand(g) == t
-    assert expand(slp) == t
     assert expand(pruned) == t
 
 
@@ -424,5 +392,5 @@ def test_pipeline_stages_on_exact_parse():
     rng = random.Random(205)
     for _ in range(50):
         t = random_text(rng, max_len=800)
-        g = prune_slp(slg_to_slp(lz_to_slg(parse_exact_lz77(t))))
+        g = prune_slp(lz_to_slg(parse_exact_lz77(t)))
         assert expand(g) == t
