@@ -3,8 +3,8 @@
 Builds a run-length straight-line grammar of a text by alternating run
 and pair replacement rounds, done symbolically on a grammar of the text
 rather than on the text itself.  Ships an approximate LZ parser, a
-factorization-to-grammar builder, pruning, and a string-level reference
-engine.
+factorization-to-grammar builder, pruning of the rules the start does
+not reach, and a string-level reference engine.
 """
 
 from .dataset import gen_dataset, load_sample

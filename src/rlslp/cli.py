@@ -1,8 +1,9 @@
 """Command-line front end for the toolkit.
 
-One subcommand per pipeline stage, plus dataset generation, end-to-end
-runs and artifact verification.  All diagnostics go to stderr tagged
-with the failing stage; exit code 0 means success.
+One subcommand per pipeline stage but pruning, which has nothing to
+drop from a grammar the toolkit writes, plus dataset generation,
+end-to-end runs and artifact verification.  All diagnostics go to
+stderr tagged with the failing stage; exit code 0 means success.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .partition import (STRATEGIES, ConvergenceError, PartitionError,
                         records_to_tsv)
 from .pipeline import (PipelineConfig, PipelineError, run_pipeline,
                        verify_files, write_atomic)
-from .slg import lz_to_slg, prune_slp
+from .slg import lz_to_slg
 
 _SIZE_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
 
@@ -85,10 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lz-to-slg",
                        help="build a straight-line grammar from a parse")
-    p.add_argument("input")
-    p.add_argument("output")
-
-    p = sub.add_parser("prune", help="drop redundant and unreachable rules")
     p.add_argument("input")
     p.add_argument("output")
 
@@ -155,13 +152,6 @@ def _cmd_lz_to_slg(args) -> int:
     return 0
 
 
-def _cmd_prune(args) -> int:
-    g = prune_slp(decode_grammar(Path(args.input).read_bytes()))
-    write_atomic(args.output, encode_grammar(g))
-    print(f"{args.output}: {len(g)} rules")
-    return 0
-
-
 def _cmd_recompress(args) -> int:
     g = decode_grammar(Path(args.input).read_bytes())
     result = recompress(g, args.strategy, args.seed)
@@ -214,7 +204,6 @@ def main(argv=None) -> int:
         "parse-bm": lambda a: _cmd_parse(a, exact=False),
         "parse-exact": lambda a: _cmd_parse(a, exact=True),
         "lz-to-slg": _cmd_lz_to_slg,
-        "prune": _cmd_prune,
         "recompress": _cmd_recompress,
         "recompress-naive": _cmd_recompress_naive,
         "verify": _cmd_verify,

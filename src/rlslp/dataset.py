@@ -13,6 +13,8 @@ from importlib import resources
 import numpy as np
 
 _SAMPLE = "data/sample.txt"
+# mask draws per step, so the float64 buffer stays at 8 MiB
+_CHUNK = 1 << 20
 
 
 def load_sample() -> bytes:
@@ -41,9 +43,12 @@ def gen_dataset(base: bytes, target_size: int, mutation_rate: float = 0.0,
     text = np.tile(arr, reps)[:target_size].copy()
     if mutation_rate > 0.0 and target_size > 0:
         mask_seq, choice_seq = np.random.SeedSequence(seed).spawn(2)
-        mask = np.random.default_rng(mask_seq).random(target_size) \
-            < mutation_rate
-        hits = int(mask.sum())
+        draw = np.random.default_rng(mask_seq).random
+        at = np.concatenate([
+            np.flatnonzero(draw(min(_CHUNK, target_size - lo))
+                           < mutation_rate) + lo
+            for lo in range(0, target_size, _CHUNK)])
+        hits = len(at)
         alpha = np.unique(arr)
         if hits and len(alpha) > 1:
             sigma = len(alpha)
@@ -52,5 +57,5 @@ def gen_dataset(base: bytes, target_size: int, mutation_rate: float = 0.0,
             draws = np.random.default_rng(choice_seq).random(hits)
             # shift in [1, sigma-1] guarantees an actual change
             shift = 1 + np.floor(draws * (sigma - 1)).astype(np.int64)
-            text[mask] = alpha[(lut[text[mask]] + shift) % sigma]
+            text[at] = alpha[(lut[text[at]] + shift) % sigma]
     return text.tobytes()

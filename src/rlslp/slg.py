@@ -3,19 +3,21 @@
 lz_to_slg turns an LZ factorization into a straight-line grammar by
 keeping a height-balanced concatenation tree over the processed prefix;
 every phrase is materialized from O(log n) existing nodes, and only the
-rules reachable from the final root are emitted.  prune_slp removes
-dead, chain and duplicate rules.
+rules reachable from the final root are emitted.  prune_slp keeps the
+rules the start reaches, and so has nothing to drop from lz_to_slg's
+output.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import compress, repeat
+from itertools import repeat
 
 import numpy as np
 
 from .engine import _reachable
-from .grammar import MAX_ALPHABET, Grammar, GrammarError, SeqRule, power
+from .grammar import (MAX_ALPHABET, Grammar, GrammarError, SeqRule, power,
+                      validate)
 from .lz import Factorization, check_factorization
 
 # symbol x is stored at index x + _T of the builder's lists: terminals
@@ -196,18 +198,11 @@ class _Builder:
         root, made after all of them, comes last."""
         if root < 0:
             return Grammar([SeqRule((root,))])
-        m = len(self.left) - _T - 1
-        ent = np.empty(2 * m, dtype=np.int64)
-        ent[0::2] = self.left[_T + 1:]
-        ent[1::2] = self.right[_T + 1:]
-        ptr = np.arange(0, 2 * m + 1, 2)
-        alive = _reachable(ptr, ent, root)
-        new = np.cumsum(alive)
-        kids = ent.reshape(-1, 2)[alive[1:]].ravel()
-        kids = np.where(kids > 0, new[np.maximum(kids, 0)], kids)
-        k = len(kids) // 2
-        return Grammar.from_arrays(kids, ptr[:k + 1],
-                                   np.zeros(k, dtype=bool))
+        ent = np.empty(2 * root, dtype=np.int64)
+        ent[0::2] = self.left[_T + 1:_T + 1 + root]
+        ent[1::2] = self.right[_T + 1:_T + 1 + root]
+        return _live(Grammar.from_arrays(ent, np.arange(0, 2 * root + 1, 2),
+                                         np.zeros(root, dtype=bool)))
 
 
 class _Root:
@@ -373,102 +368,32 @@ def lz_to_slg(fz: Factorization) -> Grammar:
     return b.live_grammar(root.collapse(0))
 
 
-# multiplier of the rule hash that _is_pruned compares rules by
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _is_pruned(g: Grammar, row: np.ndarray, sym: np.ndarray) -> bool:
-    """True if prune_slp would return g unchanged: every rule but the
-    start is referenced by a later one, so all are reachable, none is a
-    chain, and no two rules are equal.  Rules are compared by a 64-bit
-    hash, so two different rules can make it answer False, which costs
-    only time."""
-    ent, ptr, run = g.ent, g.ptr, g.run
-    m = len(g)
-    back = ent[sym & (ent > 0) & (ent < row)]
-    if np.count_nonzero(np.bincount(back, minlength=m)[1:]) < m - 1:
-        return False
-    lengths = np.diff(ptr)
-    if (ent[ptr[:-1][~run & (lengths == 1)]] > 0).any():
-        return False
-    # hash of a rule: its kind, length and entries e_0..e_k-1 as
-    # (kind + 2 k) + sum of e_j X^(j+1), at X = _MIX modulo 2^64
-    weight = np.cumprod(np.full(int(lengths.max(initial=0)), _MIX))
-    terms = ent.view(np.uint64) * weight[np.arange(len(ent)) - ptr[row - 1]]
-    h = np.zeros(m, dtype=np.uint64)
-    full = lengths > 0
-    h[full] = np.add.reduceat(terms, ptr[:-1][full])
-    h = np.sort(h + (2 * lengths + run).astype(np.uint64))
-    return not (h[1:] == h[:-1]).any()
-
-
-def _check_bytes(g: Grammar, row: np.ndarray, sym: np.ndarray,
-                 alive: np.ndarray) -> None:
-    """Reject a terminal below -256 in the highest live rule holding one."""
-    bad = sym & (g.ent < -MAX_ALPHABET) & alive[row]
-    if bad.any():
-        j = int(row[bad].max())
-        s = int(g.ent[bad & (row == j)][0])
-        raise GrammarError(f"rule {j}: terminal {s} is not a byte")
+def _live(g: Grammar) -> Grammar:
+    """The rules of g that its start reaches, in their order and
+    renumbered from 1; g itself if that is every rule."""
+    sym = g.symbol_mask()
+    # a run's exponent is not a symbol: read it as 0
+    alive = _reachable(g.ptr, np.where(sym, g.ent, 0), len(g))
+    live = alive[1:]
+    if live.all():
+        return g
+    keep = np.repeat(live, np.diff(g.ptr))
+    ent = g.ent[keep]
+    ref = sym[keep] & (ent > 0)
+    ent[ref] = np.cumsum(alive)[ent[ref]]
+    ptr = np.concatenate(([0], np.cumsum(np.diff(g.ptr)[live])))
+    return Grammar.from_arrays(ent, ptr, g.run[live], g.alphabet_size)
 
 
 def prune_slp(g: Grammar) -> Grammar:
-    """Drop unreachable rules, collapse unary chains, merge equal rhs.
+    """The rules the start reaches, in their order and renumbered.
 
-    Idempotent: a second application returns an identical grammar, and a
-    grammar that needs no change is returned as it is.  Numpy passes
-    recognize that case; any other takes one Python pass over the rules'
-    entries top down for reachability and one bottom up for the rest,
-    so a left comb costs no more than a flat grammar.
+    A grammar that `validate` rejects, also for a rule the start does
+    not reach, raises GrammarError naming the rule.  A grammar whose
+    rules are all reachable, such as every one lz_to_slg makes, is
+    returned as it is.
     """
-    m = len(g)
-    if not m:
-        return Grammar([], g.alphabet_size)
-    row = g.rows()
-    sym = g.symbol_mask()
-    if _is_pruned(g, row, sym):
-        _check_bytes(g, row, sym, np.ones(m + 1, dtype=bool))
-        return g
-    ent, ptr, run = g.ent.tolist(), g.ptr.tolist(), g.run.tolist()
-    # reachability top down, one rule at a time: a numpy sweep would take
-    # a step per grammar level, and a left comb has one level per rule
-    alive = bytearray(m + 1)
-    alive[m] = 1
-    for j in range(m, 0, -1):
-        if alive[j]:
-            a = ptr[j - 1]
-            for s in ent[a:a + 1 if run[j - 1] else ptr[j]]:
-                if s > 0:
-                    alive[s] = 1
-    _check_bytes(g, row, sym, np.frombuffer(alive, dtype=bool))
-    # new id of every rule; the last 256 slots give each terminal itself
-    remap = [0] * (m + 1) + list(range(-MAX_ALPHABET, 0))
-    get = remap.__getitem__
-    seen: dict = {}
-    out: list[int] = []
-    sizes: list[int] = []
-    runs: list[bool] = []
-    for i in compress(range(1, m + 1), alive[1:]):
-        a = ptr[i - 1]
-        if run[i - 1]:
-            rhs = (get(ent[a]), ent[a + 1])
-            key = (None,) + rhs  # unlike any sequence's rhs
-        else:
-            rhs = key = tuple(map(get, ent[a:ptr[i]]))
-            if len(rhs) == 1 and rhs[0] > 0:
-                remap[i] = rhs[0]
-                continue
-        found = seen.get(key)
-        if found is not None:
-            remap[i] = found
-            continue
-        out += rhs
-        sizes.append(len(rhs))
-        runs.append(run[i - 1])
-        remap[i] = seen[key] = len(sizes)
-    # collapsing or deduplicating the start rule cannot leave later
-    # rules behind: everything it references was consed before it
-    del sizes[remap[m]:], runs[remap[m]:]
-    ptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
-    return Grammar.from_arrays(np.array(out[:ptr[-1]], dtype=np.int64), ptr,
-                               np.array(runs, dtype=bool), g.alphabet_size)
+    report = validate(g)
+    if not report.ok:
+        raise GrammarError(f"rule {report.rule_index}: {report.message}")
+    return _live(g) if len(g) else g

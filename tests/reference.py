@@ -126,45 +126,32 @@ def ref_decode(data: bytes) -> Grammar:
 
 
 def ref_prune(g: Grammar) -> Grammar:
+    report = ref_validate(g)
+    if not report.ok:
+        raise GrammarError(f"rule {report.rule_index}: {report.message}")
     rules = g.rules
     if not rules:
-        return Grammar([], g.alphabet_size)
+        return g
     m = len(rules)
-    alive = bytearray(m + 1)
-    alive[m] = 1
+    alive = [False] * (m + 1)
+    alive[m] = True
     for j in range(m, 0, -1):
         if alive[j]:
             rule = rules[j - 1]
             for s in rule.rhs if isinstance(rule, SeqRule) else (rule.base,):
                 if s > 0:
-                    alive[s] = 1
-                elif s < -MAX_ALPHABET:
-                    raise GrammarError(f"rule {j}: terminal {s} is not a byte")
-    remap = [0] * (m + 1) + list(range(-MAX_ALPHABET, 0))
-    get = remap.__getitem__
-    consed = []
-    seen: dict = {}
+                    alive[s] = True
+    new = [0] * (m + 1)
+    kept = []
     for i, rule in enumerate(rules, start=1):
-        if not alive[i]:
-            continue
-        if isinstance(rule, SeqRule):
-            rhs = tuple(map(get, rule.rhs))
-            if len(rhs) == 1 and rhs[0] > 0:
-                remap[i] = rhs[0]
-                continue
-            key = rhs
-            rule = SeqRule(rhs)
-        else:
-            rule = RunRule(get(rule.base), rule.exponent)
-            key = rule
-        found = seen.get(key)
-        if found is not None:
-            remap[i] = found
-            continue
-        consed.append(rule)
-        remap[i] = seen[key] = len(consed)
-    del consed[remap[m]:]
-    return Grammar(consed, g.alphabet_size)
+        if alive[i]:
+            kept.append(rule)
+            new[i] = len(kept)
+    return Grammar([SeqRule(tuple(new[s] if s > 0 else s for s in r.rhs))
+                    if isinstance(r, SeqRule)
+                    else RunRule(new[r.base] if r.base > 0 else r.base,
+                                 r.exponent)
+                    for r in kept], g.alphabet_size)
 
 
 def ref_slg_to_slp(g: Grammar) -> Grammar:

@@ -156,8 +156,7 @@ def test_arrays_agree_with_rule_objects(g):
     assert data == ref_encode(g)
     check_codec(data)
     assert validate(g) == ref_validate(g)
-    if validate(g).ok or "-300" in validate(g).message:
-        assert same_grammar(outcome(prune_slp, g), outcome(ref_prune, g))
+    assert same_grammar(outcome(prune_slp, g), outcome(ref_prune, g))
 
 
 @settings(max_examples=200, deadline=None)
@@ -170,8 +169,7 @@ def test_rules_view_round_trips(g):
 
 
 def test_prune_deep_comb_with_dead_rules_and_chains():
-    # every third rule is dead or a chain, so nothing takes the shortcut
-    # for already pruned grammars
+    # every third rule is dead, and reachability has a step per level
     rules = [SeqRule((term(0), term(1)))]
     for j in range(1, 30_000):
         if j % 3 == 1:
@@ -183,7 +181,7 @@ def test_prune_deep_comb_with_dead_rules_and_chains():
     g = Grammar(rules)
     pruned = prune_slp(g)
     assert pruned.rules == ref_prune(g).rules
-    assert len(pruned) == 10_000
+    assert len(pruned) == 10_001
 
 
 def test_expand_past_huge_dead_run_exponents():

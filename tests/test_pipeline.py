@@ -1,5 +1,6 @@
 """Dataset generation, the end-to-end pipeline, CLI, and README drift."""
 
+import hashlib
 import random
 import re
 import tracemalloc
@@ -66,6 +67,13 @@ def test_gen_dataset_seed_stability():
     a = gen_dataset(base, 4096, mutation_rate=0.1, seed=5)
     assert a == gen_dataset(base, 4096, mutation_rate=0.1, seed=5)
     assert a != gen_dataset(base, 4096, mutation_rate=0.1, seed=6)
+
+
+def test_gen_dataset_pinned_across_mask_chunks():
+    # 3 MiB + 12345 bytes: the mutation mask is drawn a MiB at a time
+    out = gen_dataset(load_sample(), (3 << 20) + 12345, 1e-2, 7)
+    assert hashlib.sha256(out).hexdigest() == (
+        "019aca29c8362bc3998b385153c15b3bbc37cc2ec44efdef3288f0873a1d759f")
 
 
 def test_gen_dataset_input_validation():
@@ -254,13 +262,11 @@ def test_cli_stage_commands_chain(tmp_path):
     data_path.write_bytes(gen_dataset(b"abracadabra", 5000, 0.02, seed=2))
     lz = tmp_path / "a.lzpf"
     slg = tmp_path / "a.slg"
-    pruned = tmp_path / "a.pruned"
     final = tmp_path / "a.slgf"
     assert cli.main(["parse-bm", str(data_path), str(lz),
                      "--block-size", "16"]) == 0
     assert cli.main(["lz-to-slg", str(lz), str(slg)]) == 0
-    assert cli.main(["prune", str(slg), str(pruned)]) == 0
-    assert cli.main(["recompress", str(pruned), str(final)]) == 0
+    assert cli.main(["recompress", str(slg), str(final)]) == 0
     assert cli.main(["verify", str(final), str(data_path)]) == 0
 
     naive_out = tmp_path / "naive.slgf"

@@ -337,25 +337,6 @@ def test_prune_removes_unreachable():
     assert expand(pruned) == expand(g)
 
 
-def test_prune_collapses_chain():
-    g = Grammar([SeqRule((-1, -2)), SeqRule((1,)), SeqRule((2,))])
-    pruned = prune_slp(g)
-    assert pruned.rules == [SeqRule((-1, -2))]
-
-
-def test_prune_merges_duplicate_rhs():
-    g = Grammar([SeqRule((-1, -2)), SeqRule((-1, -2)), SeqRule((1, 2))])
-    pruned = prune_slp(g)
-    assert len(pruned.rules) == 2
-    assert expand(pruned) == expand(g)
-    seen = set()
-    for rule in pruned.rules:
-        key = (rule.base, rule.exponent) if isinstance(rule, RunRule) \
-            else rule.rhs
-        assert key not in seen
-        seen.add(key)
-
-
 def test_prune_idempotent_and_semantics_on_corpus():
     rng = random.Random(204)
     for _ in range(150):
@@ -370,6 +351,18 @@ def test_prune_idempotent_and_semantics_on_corpus():
 def test_prune_rejects_terminals_beyond_bytes():
     with pytest.raises(GrammarError, match="rule 2: terminal -300"):
         prune_slp(Grammar([SeqRule((-1, -2)), SeqRule((1, -300))]))
+
+
+@pytest.mark.parametrize("rules, problem", [
+    ([SeqRule((-1, -2)), SeqRule((3, -1)), SeqRule((2, 1))],
+     "rule 2: reference to rule 3 is not strictly earlier"),
+    ([SeqRule((-1, 0)), SeqRule((1, -1))], "rule 1: symbol 0 is not valid"),
+    ([RunRule(-1, 1), SeqRule((1, -2))], "rule 1: run exponent 1 < 2"),
+    ([SeqRule(()), SeqRule((-1, -2))], "rule 1: empty rhs"),
+])
+def test_prune_rejects_invalid_grammars(rules, problem):
+    with pytest.raises(GrammarError, match=problem):
+        prune_slp(Grammar(rules))
 
 
 def test_prune_keeps_terminal_singleton_start():
