@@ -23,14 +23,19 @@ level-wise processing of Jeż ("Faster fully compressed pattern matching
 by recompression", TALG 2015).  A rule rewritten from a rule of layer L
 only references rules rewritten from lower layers, so each rewrite
 carries the layers forward instead of recomputing them.  The start rule
-is alone in the top layer and is rewritten whole; every other rule
-hands its boundary runs or symbols up to its parents.  A run round
-whose level string has no two equal neighbours keeps the grammar as it
-is.  Once the level string is no longer than the grammar, a round on
-the grammar costs more than one on the string, so the engine
-materializes the level string and the string engine's rounds
-(`naive.string_rounds`) finish the work with the same builder and
-partition source.
+is alone in the top layer and is rewritten whole.  Every other rule
+hands a boundary run or symbol up to its parents only where some
+occurrence's boundary is crossed, that is, where a run or a pair spans
+it: the entry next to it in a parent combines with it, or it is the
+parent's first (last) entry and the parent's boundary is crossed.  Jeż
+pops letters to uncross blocks and pairs in the same way; here only the
+crossed boundaries pop, so a rule keeps what no occurrence shares with
+a neighbour.  A run round whose level string has no two equal
+neighbours keeps the grammar as it is.  Once the level string is no
+longer than the grammar, a round on the grammar costs more than one on
+the string, so the engine materializes the level string and the string
+engine's rounds (`naive.string_rounds`) finish the work with the same
+builder and partition source.
 """
 
 from __future__ import annotations
@@ -138,7 +143,7 @@ class LevelGrammar:
     and the start rule is the last rule, alone in the top layer.
     """
 
-    __slots__ = ("ptr", "ent", "layers", "_row")
+    __slots__ = ("ptr", "ent", "layers", "_row", "_ends")
 
     def __init__(self, ptr: np.ndarray, ent: np.ndarray,
                  layers: list[int]) -> None:
@@ -146,6 +151,7 @@ class LevelGrammar:
         self.ent = ent
         self.layers = layers
         self._row = None
+        self._ends = None
 
     def __len__(self) -> int:
         return len(self.ptr) - 1
@@ -161,6 +167,27 @@ class LevelGrammar:
             self._row = np.repeat(np.arange(1, len(self) + 1),
                                   np.diff(self.ptr))
         return self._row
+
+    @property
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """First and last level symbol of every entry's expansion."""
+        if self._ends is None:
+            m = len(self)
+            ent, ptr = self.ent, self.ptr
+            # by entry + off: a level symbol is its own, a rule's comes
+            # from its first (last) entry
+            off = -int(ent.min())
+            lms = np.concatenate((_dec(np.arange(-off, 0)),
+                                  np.zeros(m + 1, dtype=np.int64)))
+            rms = lms.copy()
+            firsts = ent[ptr[:-1]] + off
+            lasts = ent[ptr[1:] - 1] + off
+            for lo, hi, _a, _b in self.sweep():
+                lms[off + lo + 1:off + hi + 1] = lms[firsts[lo:hi]]
+                rms[off + lo + 1:off + hi + 1] = rms[lasts[lo:hi]]
+            at = ent + off
+            self._ends = lms[at], rms[at]
+        return self._ends
 
     def sweep(self):
         """Per layer, bottom up: (lo, hi, a, b) for rules lo+1..hi, whose
@@ -316,22 +343,52 @@ def inline(lg: LevelGrammar) -> LevelGrammar:
     return _layered(ptr, ent, np.arange(1, k + 1), _heights(ptr, ent))
 
 
-def _rewrite(lg: LevelGrammar, own: tuple, step, add) -> LevelGrammar:
+def _crossed(lg: LevelGrammar, join: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Per rule (slot 0 unused), whether the left (right) boundary of
+    some occurrence is crossed, given `join`, which says for each pair
+    of adjacent entries of one rule whether their expansions combine
+    across the boundary between them.
+
+    An occurrence is crossed on the left where the entry before it
+    joins with it, or where it is its parent's first entry and the
+    parent's occurrence is crossed on the left; likewise on the right.
+    Marks flow from the start rule, which is never crossed, down one
+    layer at a time, as in `compute_nocc`.
+    """
+    ent, ptr = lg.ent, lg.ptr
+    cl = np.zeros(len(lg) + 1, dtype=bool)
+    cr = cl.copy()
+    kid = ent > 0
+    cl[ent[1:][join & kid[1:]]] = True
+    cr[ent[:-1][join & kid[:-1]]] = True
+    firsts, lasts = ent[ptr[:-1]], ent[ptr[1:] - 1]
+    for lo, hi, _a, _b in reversed(list(lg.sweep())):
+        for marks, ends in ((cl, firsts[lo:hi]), (cr, lasts[lo:hi])):
+            marks[ends[(ends > 0) & marks[lo + 1:hi + 1]]] = True
+    return cl, cr
+
+
+def _rewrite(lg: LevelGrammar, own: tuple, join: np.ndarray, step, add
+             ) -> LevelGrammar:
     """Bottom-up rewrite shared by run and pair replacement.
 
     An atom is a (val, key, flag) triple.  Every entry of a rule yields
     atoms: its own atom for a level symbol (`own`, each field an array
     over the entries or one value for all), or the atoms a child handed
-    up.  `step(val, key, flag, row, start)` rewrites the atoms of a
-    layer's rules locally (row: the rule of each atom) and returns them
-    with every rule's first and last atom and whether those move up to
-    the parents (never for the start rule); the remaining inner atoms
-    must then be entries of the next grammar: a final entry with key 0,
-    or a pending rule key (val, key) whose id `add` assigns once the
-    round's keys are all known.  Inner atoms two or more wide become a
-    new rule, and the parents get a reference to it in their place;
-    narrower ones move up as they are.
+    up.  `step(val, key, flag, row, cl, cr)` rewrites the atoms of a
+    layer's rules locally (row: the rule of each atom; cl, cr: per rule,
+    whether some occurrence is crossed on the left and right, from
+    `_crossed` with `join`) and returns them with every rule's first and
+    last atom and whether those move up to the parents, which only a
+    crossed boundary needs (so never for the start rule); the remaining
+    inner atoms must then be entries of the next grammar: a final entry
+    with key 0, or a pending rule key (val, key) whose id `add` assigns
+    once the round's keys are all known.  Inner atoms two or more wide
+    become a new rule, and the parents get a reference to it in their
+    place; narrower ones move up as they are.
     """
+    cl, cr = _crossed(lg, join)
     m = len(lg)
     ent, row = lg.ent, lg.row
     size = len(ent)
@@ -354,7 +411,8 @@ def _rewrite(lg: LevelGrammar, own: tuple, step, add) -> LevelGrammar:
         at = _ranges(beg[slot[a:b]], c)
         start = hi == m
         v, y, f, first, last, pop_l, pop_r = step(
-            val[at], key[at], flag[at], row[a:b].repeat(c), start)
+            val[at], key[at], flag[at], row[a:b].repeat(c),
+            cl[lo + 1:hi + 1], cr[lo + 1:hi + 1])
         n = last - first + 1
         width = n - pop_l - pop_r
         make = width >= 2
@@ -418,19 +476,20 @@ def _inner(keep, n, first: np.ndarray, last: np.ndarray,
     return inner
 
 
-def _merge_runs(sym, run, block, r, start):
+def _merge_runs(sym, run, block, r, cl, cr):
     """bcomp step: atoms are runs (block true: symbol, length) or child
     caps (entries); adjacent runs of one symbol inside a rule merge, and
-    a rule's first and last runs move up."""
+    a rule's first (last) run moves up where its left (right) boundary
+    is crossed; a rule that is one run moves up whole if either is."""
     join = (block[1:] & block[:-1] & (sym[1:] == sym[:-1])
             & (r[1:] == r[:-1]))
     gs = np.concatenate(([True], ~join)).nonzero()[0]
     sym, block = sym[gs], block[gs]
     run = np.add.reduceat(run, gs)
     first, last = _bounds(r[gs])
-    pop_l = np.empty(len(first), dtype=bool)
-    pop_l[:] = not start
-    pop_r = pop_l & (last > first)
+    one = first == last
+    pop_l = cl | (cr & one)
+    pop_r = cr & ~one
     # inner runs become entries: one symbol plain, longer ones pending
     inner = _inner(True, len(sym), first, last, pop_l, pop_r)
     plain = inner & block & (run == 1)
@@ -445,24 +504,27 @@ def bcomp(lg: LevelGrammar, builder: RlslpBuilder) -> LevelGrammar:
 
     Per rule, bottom up: the level expansion is a maximal prefix run, a
     cap and a maximal suffix run.  A rule's atoms are its own symbols
-    and, per child, the child's prefix run, cap and suffix run (a child
-    that is one run gives just that run); adjacent runs of one symbol
-    merge.  The rule's first and last merged runs are its boundary runs,
-    which its parents absorb; the atoms between them form its cap, a new
-    rule when two or more entries wide.  Every maximal run of the level
-    string therefore lies in some cap or in the start rule, which keeps
-    all its atoms, so run rules are created from those places only.
+    and, per child, what the child hands up; adjacent runs of one symbol
+    merge.  Two adjacent entries of a rule join where the first one's
+    expansion ends with the symbol the next one's begins with.  A rule
+    hands its prefix (suffix) run up to its parents only if some
+    occurrence's left (right) boundary is crossed by such a join, and
+    keeps it otherwise, as then it is maximal wherever the rule occurs;
+    the atoms it keeps form its cap, a new rule when two or more entries
+    wide.  Every maximal run of the level string therefore meets in the
+    lowest rule that spans it, so run rules are created from there only.
 
     Two neighbours of the level string are equal only where some rule
-    has adjacent entries whose expansions end and begin with the same
-    symbol; every rule is reachable, so without such entries the round
-    makes no rule and the grammar is returned as it is.
+    has adjacent entries that join; every rule is reachable, so without
+    such entries the round makes no rule and the grammar is returned as
+    it is.
     """
-    first, last = _entry_ends(lg)
+    first, last = lg.ends
     row = lg.row
-    if not ((last[:-1] == first[1:]) & (row[1:] == row[:-1])).any():
+    join = (last[:-1] == first[1:]) & (row[1:] == row[:-1])
+    if not join.any():
         return lg
-    return _rewrite(lg, (_dec(lg.ent), 1, True), _merge_runs,
+    return _rewrite(lg, (_dec(lg.ent), 1, True), join, _merge_runs,
                     builder.add_runs)
 
 
@@ -484,25 +546,6 @@ def compute_nocc(lg: LevelGrammar) -> np.ndarray:
     return occ
 
 
-def _entry_ends(lg: LevelGrammar) -> tuple[np.ndarray, np.ndarray]:
-    """First and last level symbol of every entry's expansion."""
-    m = len(lg)
-    ent, ptr = lg.ent, lg.ptr
-    # by entry + off: a level symbol is its own, a rule's comes from its
-    # first (last) entry
-    off = -int(ent.min())
-    lms = np.concatenate((_dec(np.arange(-off, 0)),
-                          np.zeros(m + 1, dtype=np.int64)))
-    rms = lms.copy()
-    firsts = ent[ptr[:-1]] + off
-    lasts = ent[ptr[1:] - 1] + off
-    for lo, hi, _a, _b in lg.sweep():
-        lms[off + lo + 1:off + hi + 1] = lms[firsts[lo:hi]]
-        rms[off + lo + 1:off + hi + 1] = rms[lasts[lo:hi]]
-    at = ent + off
-    return lms[at], rms[at]
-
-
 def collect_pair_frequencies(lg: LevelGrammar, occ: np.ndarray
                              ) -> tuple[PairMaps, np.ndarray]:
     """Weighted boundary pairs of all reachable rules, and the alphabet
@@ -513,7 +556,7 @@ def collect_pair_frequencies(lg: LevelGrammar, occ: np.ndarray
     weighted by rule occurrences counts each adjacency exactly once.
     """
     ent, row = lg.ent, lg.row
-    first, last = _entry_ends(lg)
+    first, last = lg.ends
     weight = occ[row]
     # adjacent entries of one reachable rule
     inner = (weight[:-1] > 0) & (row[1:] == row[:-1])
@@ -524,11 +567,14 @@ def collect_pair_frequencies(lg: LevelGrammar, occ: np.ndarray
     return maps, _dec(-ranks)
 
 
-def _pair_up(val, key, side, r, start):
+def _pair_up(val, key, side, r, cl, cr):
     """pcomp step: atoms are level symbols (entry-coded, with their side
     in the partition), pending pairs and references.  A left symbol
     followed by a right one inside a rule becomes a pending pair; a
-    rule's first symbol moves up if right, its last if left."""
+    rule's first (last) symbol moves up where its left (right) boundary
+    is crossed.  A crossed boundary's symbol is always on the side that
+    combines across it, right (left), and nothing inside the rule pairs
+    with it, so the marks alone say what moves up."""
     starts = ((side[:-1] == 1) & (side[1:] == -1)
               & (r[:-1] == r[1:])).nonzero()[0]
     if len(starts):
@@ -539,12 +585,7 @@ def _pair_up(val, key, side, r, start):
         alive[starts + 1] = False
         val, key, side, r = val[alive], key[alive], side[alive], r[alive]
     first, last = _bounds(r)
-    if start:
-        pop_l = pop_r = np.zeros(1, dtype=bool)
-    else:
-        pop_l = side[first] == -1
-        pop_r = (side[last] == 1) & (last - first + 1 > pop_l)
-    return val, key, side, first, last, pop_l, pop_r
+    return val, key, side, first, last, cl, cr
 
 
 def pcomp(lg: LevelGrammar, part: Partition, builder: RlslpBuilder
@@ -552,16 +593,22 @@ def pcomp(lg: LevelGrammar, part: Partition, builder: RlslpBuilder
     """One pair-replacement round on the working grammar.
 
     Each rule is rewritten over exposed atoms: its own level symbols,
-    and per child the stripped boundary symbols around an opaque middle.
-    A left-side first symbol or right-side last symbol can only combine
-    across the rule boundary, so it moves up to the parent; everything
-    else is settled locally.  Candidate pairs never overlap (a symbol is
-    on one side only), so all of them are replaced at once.
+    and per child what the child hands up around an opaque middle.  Two
+    adjacent entries of a rule join where the first one's expansion ends
+    with a left-side symbol and the next one's begins with a right-side
+    one.  A right-side first symbol (left-side last symbol) can only
+    combine across the rule's left (right) boundary, so it moves up to
+    the parents if some occurrence's boundary is crossed by such a join;
+    everything else is settled locally.  Candidate pairs never overlap
+    (a symbol is on one side only), so all of them are replaced at once.
     """
+    first, last = lg.ends
+    row = lg.row
+    side_f, side_l = part.sides_of(first), part.sides_of(last)
+    join = (side_l[:-1] == 1) & (side_f[1:] == -1) & (row[1:] == row[:-1])
     ent = lg.ent
-    side = np.where(ent < 0, part.sides_of(_dec(ent)), 0)
-    return _rewrite(lg, (ent, 0, side.astype(np.int8)), _pair_up,
-                    builder.add_pairs)
+    return _rewrite(lg, (ent, 0, np.where(ent < 0, side_f, 0)), join,
+                    _pair_up, builder.add_pairs)
 
 
 def recompress(slp: Grammar, strategy: str = "mixed", seed: int = 42,

@@ -17,6 +17,7 @@ from conftest import (mutated_text, random_rlslp, random_seq_grammar,
 from rlslp.engine import (LevelGrammar, _dec, _enc, bcomp,
                           collect_pair_frequencies, compute_nocc, inline,
                           pcomp, recompress)
+from rlslp.dataset import gen_dataset, load_sample
 from rlslp.grammar import (Grammar, GrammarError, RunRule, SeqRule,
                            decode_grammar, expand, expansion_lengths,
                            validate)
@@ -35,7 +36,7 @@ def term(ch: str) -> int:
     return -(ord(ch) + 1)
 
 
-A, B, C = term("a"), term("b"), term("c")
+A, B, C, D = term("a"), term("b"), term("c"), term("d")
 
 
 def slp_of(t: bytes) -> Grammar:
@@ -242,6 +243,21 @@ def test_bcomp_finds_a_run_across_a_rule_boundary():
     assert out is not lg
     assert builder.rules == [RunRule(B, 2)]
     assert out.level_string().tolist() == [A, 1, C]
+
+
+def test_bcomp_keeps_the_runs_of_an_uncrossed_rule():
+    # no occurrence of rule 1 has an a next to it, so it keeps its
+    # boundary runs and survives as a rule of its own
+    g = Grammar([SeqRule((A, B, B, A)), SeqRule((1, C, 1, D, D))])
+    bg, bs = RlslpBuilder(), RlslpBuilder()
+    out = bcomp(LevelGrammar.from_slp(g), bg)
+    assert bg.rules == [RunRule(D, 2), RunRule(B, 2)]
+    assert (len(out), len(out.ent)) == (2, 7)
+    assert out.rhs(1) == [A, -258, A]
+    assert out.rhs(2) == [1, C, 1, -257]
+    want = bcomp_string(text_to_levels(expand(g)), bs)
+    assert out.level_string().tolist() == want.tolist()
+    assert bg.rules == bs.rules
 
 
 def test_bcomp_keeps_exactly_the_grammars_without_runs():
@@ -485,6 +501,22 @@ def test_pcomp_matches_string_engine():
         assert bg.rules == bs.rules
 
 
+def test_pcomp_keeps_an_uncrossed_right_side_first_symbol():
+    # b is on the right side but follows no left-side symbol, so it
+    # stays in rule 1, which survives as [b, (ac)]
+    g = Grammar([SeqRule((B, A, C)), SeqRule((1, D, 1))])
+    part = Partition({A: True, B: False, C: False, D: False})
+    bg, bs = RlslpBuilder(), RlslpBuilder()
+    out = pcomp(LevelGrammar.from_slp(g), part, bg)
+    assert bg.rules == [SeqRule((A, C))]
+    assert (len(out), len(out.ent)) == (2, 5)
+    assert out.rhs(1) == [B, -257]
+    assert out.rhs(2) == [1, D, 1]
+    want = pcomp_string(text_to_levels(expand(g)), part, bs)
+    assert out.level_string().tolist() == want.tolist()
+    assert bg.rules == bs.rules
+
+
 # --- full runs ----------------------------------------------------------
 
 
@@ -573,6 +605,37 @@ def test_recompress_hands_over_where_string_fits_grammar():
     assert all(r.level_lengths_s > 0 for r in records[:on_grammar])
     assert all(r.work_size == r.length_after and r.level_lengths_s == 0
                for r in records[on_grammar:])
+
+
+def test_rules_stay_shared_on_the_acceptance_corpus():
+    # the grammar rounds of recompress, by hand; after each, every rule
+    # but the start is referenced at least twice, and the working
+    # grammar stays below the 27,267 entries it peaked at when every
+    # rule handed its boundaries up, crossed or not
+    text = gen_dataset(load_sample(), 4 << 20, mutation_rate=1e-5, seed=21)
+    g = prune_slp(lz_to_slg(parse_bentley_mcilroy(text, 50)))
+    records = recompress(g, "mixed", 42).records
+    lg = inline(LevelGrammar.from_slp(g))
+    source = PartitionSource("mixed", 42)
+    builder = RlslpBuilder()
+    lengths, size = lg.level_lengths()
+    peak = size
+    i = 0
+    while lengths[-1] > size:
+        if i % 2 == 0:
+            lg = bcomp(lg, builder)
+        else:
+            pairs, alphabet = collect_pair_frequencies(lg, compute_nocc(lg))
+            lg = pcomp(lg, source.next_partition(pairs, alphabet), builder)
+        refs = np.bincount(lg.ent[lg.ent > 0], minlength=len(lg) + 1)
+        assert refs[1:-1].min(initial=2) >= 2
+        lengths, size = lg.level_lengths()
+        assert (lengths[-1], size) == (records[i].length_after,
+                                       records[i].work_size)
+        peak = max(peak, size)
+        i += 1
+    assert i == _grammar_rounds(records) == 48
+    assert peak < 27267
 
 
 def test_recompress_round_trips():
