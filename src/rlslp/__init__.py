@@ -21,7 +21,7 @@ from .lz import (Factorization, ParseError, Phrase, decode_factorization,
 from .naive import recompress_string
 from .partition import (ConvergenceError, PairMaps, Partition,
                         PartitionError, PartitionSource, RecompressResult,
-                        RoundRecord, STRATEGIES, records_to_tsv)
+                        RoundRecord, STRATEGIES)
 from .pipeline import (PipelineConfig, PipelineError, StageStat,
                        StatsReport, run_pipeline, verify_expansion,
                        verify_files)
@@ -39,7 +39,6 @@ __all__ = [
     "encode_factorization", "encode_grammar", "expand", "expansion_lengths",
     "factorization_stats", "gen_dataset", "grammar_size", "iter_expansion",
     "load_sample", "lz_to_slg", "parse_bentley_mcilroy", "parse_exact_lz77",
-    "prune_slp", "recompress", "recompress_string", "records_to_tsv",
-    "run_pipeline", "term", "term_byte", "validate",
-    "verify_expansion", "verify_files",
+    "prune_slp", "recompress", "recompress_string", "run_pipeline", "term",
+    "term_byte", "validate", "verify_expansion", "verify_files",
 ]

@@ -2,8 +2,11 @@
 
 One subcommand per pipeline stage but pruning, which has nothing to
 drop from a grammar the toolkit writes, plus dataset generation,
-end-to-end runs and artifact verification.  All diagnostics go to
-stderr tagged with the failing stage; exit code 0 means success.
+end-to-end runs and artifact verification.  Every `--stats-out` writes
+one `StatsReport` as JSON: the parse commands fill its counts, the
+recompress commands its rounds and output counts, `pipeline` all of it.
+All diagnostics go to stderr tagged with the failing stage; exit code 0
+means success.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ from .lz import (ParseError, decode_factorization_bytes,
                  encode_factorization, factorization_stats,
                  parse_bentley_mcilroy, parse_exact_lz77)
 from .naive import recompress_string
-from .partition import (STRATEGIES, ConvergenceError, PartitionError,
-                        records_to_tsv)
-from .pipeline import (PipelineConfig, PipelineError, run_pipeline,
-                       verify_files, write_atomic)
+from .partition import STRATEGIES, ConvergenceError, PartitionError
+from .pipeline import (PipelineConfig, PipelineError, StatsReport,
+                       run_pipeline, verify_files, write_atomic)
 from .slg import lz_to_slg
 
 _SIZE_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
@@ -50,11 +52,6 @@ def _add_strategy_args(p: argparse.ArgumentParser) -> None:
                    help="partition strategy per pair round (default mixed)")
     p.add_argument("--seed", type=int, default=42,
                    help="seed for randomized partitions (default 42)")
-
-
-def _write_stats(path: str | None, text: str) -> None:
-    if path:
-        write_atomic(path, text.encode())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,9 +135,9 @@ def _cmd_parse(args, exact: bool) -> int:
     stats = factorization_stats(fz)
     print(f"{args.output}: {stats['phrases']} phrases, "
           f"{stats['text_length']} bytes, ratio {stats['ratio']}")
-    _write_stats(getattr(args, "stats_out", None),
-                 "metric\tvalue\n" +
-                 "".join(f"{k}\t{v}\n" for k, v in stats.items()))
+    if args.stats_out:
+        write_atomic(args.stats_out,
+                     StatsReport(counts=stats).to_json().encode())
     return 0
 
 
@@ -152,25 +149,22 @@ def _cmd_lz_to_slg(args) -> int:
     return 0
 
 
-def _cmd_recompress(args) -> int:
-    g = decode_grammar(Path(args.input).read_bytes())
-    result = recompress(g, args.strategy, args.seed)
+def _cmd_recompress(args, naive: bool) -> int:
+    data = Path(args.input).read_bytes()
+    if naive:
+        result = recompress_string(data, strategy=args.strategy,
+                                   seed=args.seed)
+    else:
+        result = recompress(decode_grammar(data), args.strategy, args.seed)
     write_atomic(args.output, encode_grammar(result.grammar))
     size = grammar_size(result.grammar)
     print(f"{args.output}: {size.productions} productions, "
           f"size {size.size}")
-    _write_stats(args.stats_out, records_to_tsv(result.records))
-    return 0
-
-
-def _cmd_recompress_naive(args) -> int:
-    text = Path(args.input).read_bytes()
-    result = recompress_string(text, strategy=args.strategy, seed=args.seed)
-    write_atomic(args.output, encode_grammar(result.grammar))
-    size = grammar_size(result.grammar)
-    print(f"{args.output}: {size.productions} productions, "
-          f"size {size.size}")
-    _write_stats(args.stats_out, records_to_tsv(result.records))
+    if args.stats_out:
+        report = StatsReport(counts={"productions": size.productions,
+                                     "grammar_size": size.size},
+                             rounds=result.records)
+        write_atomic(args.stats_out, report.to_json().encode())
     return 0
 
 
@@ -190,7 +184,8 @@ def _cmd_pipeline(args) -> int:
                          seed=args.seed, verify=args.verify,
                          profile_memory=args.stats_out is not None)
     report = run_pipeline(args.input, args.output, cfg)
-    _write_stats(args.stats_out, report.to_tsv())
+    if args.stats_out:
+        write_atomic(args.stats_out, report.to_json().encode())
     summary = ", ".join(f"{k}={v}" for k, v in report.counts.items())
     print(f"{args.output}: {summary}, "
           f"{report.total_seconds():.2f}s")
@@ -204,8 +199,8 @@ def main(argv=None) -> int:
         "parse-bm": lambda a: _cmd_parse(a, exact=False),
         "parse-exact": lambda a: _cmd_parse(a, exact=True),
         "lz-to-slg": _cmd_lz_to_slg,
-        "recompress": _cmd_recompress,
-        "recompress-naive": _cmd_recompress_naive,
+        "recompress": lambda a: _cmd_recompress(a, naive=False),
+        "recompress-naive": lambda a: _cmd_recompress(a, naive=True),
         "verify": _cmd_verify,
         "pipeline": _cmd_pipeline,
     }

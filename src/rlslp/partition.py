@@ -54,12 +54,8 @@ class PairMaps:
 
     def add_arrays(self, first: np.ndarray, second: np.ndarray,
                    weight: np.ndarray) -> None:
-        """Count weight[i] more for every pair (first[i], second[i]);
-        all three are int64 arrays."""
-        if len(self.first):
-            first = np.concatenate((self.first, first))
-            second = np.concatenate((self.second, second))
-            weight = np.concatenate((self.weight, weight))
+        """Count weight[i] for every pair (first[i], second[i]); all three
+        are int64 arrays.  Called once, on a fresh PairMaps."""
         if len(first) == 0:
             return
         # ranks are below the largest rank + 1, so the packed key fits
@@ -244,9 +240,6 @@ class RoundRecord:
     rewrite_s: float = 0.0  # bcomp or pcomp
     level_lengths_s: float = 0.0  # level lengths of the new grammar
 
-    TIMES = ("seconds", "nocc_s", "pair_count_s", "partition_s",
-             "rewrite_s", "level_lengths_s")
-
 
 class Laps:
     """Wall time of one phase, split into RoundRecord's parts."""
@@ -279,24 +272,6 @@ def round_record(round_no: int, before: int, after: int, new_rules: int,
     if round_no % 2:
         rec.replaced_weight, rec.total_weight = before - after, before - 1
     return rec
-
-
-def records_to_tsv(records: list[RoundRecord]) -> str:
-    """Long-format telemetry: one `round phase metric value` row each."""
-    lines = ["round\tphase\tmetric\tvalue"]
-    for r in records:
-        rows = [("length_after", r.length_after), ("new_rules", r.new_rules)]
-        if r.phase == "pcomp":
-            rows += [("replaced_weight", r.replaced_weight),
-                     ("total_weight", r.total_weight)]
-        if r.work_size:
-            rows.append(("work_size", r.work_size))
-        for name in r.TIMES:
-            if getattr(r, name):
-                rows.append((name, f"{getattr(r, name):.6f}"))
-        for metric, value in rows:
-            lines.append(f"{r.round}\t{r.phase}\t{metric}\t{value}")
-    return "\n".join(lines) + "\n"
 
 
 class RlslpBuilder:

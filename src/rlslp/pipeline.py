@@ -5,7 +5,9 @@ then grammar-level recompression; on request a fifth, verify, checks
 that the bytes about to be written decode and expand back to the input.
 Each stage is timed and, on request, its allocation peak recorded, so
 engine comparisons can be made without the input text buffer polluting
-the numbers.
+the numbers.  `StatsReport` is the toolkit's one telemetry record: the
+stages, the headline counts and the recompression rounds, written as
+JSON by every command's `--stats-out`.
 
 Only the parse reads the text.  The pipeline drops it once the parse
 returns, so the later stages run in memory that tracks the grammar, not
@@ -15,18 +17,19 @@ the text, and verify streams the input file from disk.
 from __future__ import annotations
 
 import io
+import json
 import os
 import resource
 import time
 import tracemalloc
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .engine import recompress
 from .grammar import Grammar, encode_grammar, grammar_size, iter_expansion
 from .lz import parse_bentley_mcilroy
-from .partition import STRATEGIES
+from .partition import STRATEGIES, RoundRecord
 from .slg import lz_to_slg, prune_slp
 
 STAGE_NAMES = ("parse_bm", "lz_to_slg", "prune_slp", "recompress", "verify")
@@ -64,6 +67,10 @@ class PipelineConfig:
 
 @dataclass
 class StageStat:
+    """One stage's wall time in seconds, its allocation peak (tracemalloc,
+    0 when not traced) and the process's RSS high-water mark after it,
+    both in bytes."""
+
     name: str
     seconds: float
     peak_alloc: int
@@ -72,8 +79,13 @@ class StageStat:
 
 @dataclass
 class StatsReport:
+    """Telemetry of one run: a StageStat per pipeline stage, the headline
+    counts, and a RoundRecord per recompression round.  A command fills
+    the parts it has and leaves the others empty."""
+
     stages: list[StageStat] = field(default_factory=list)
-    counts: dict[str, int] = field(default_factory=dict)
+    counts: dict[str, int | float] = field(default_factory=dict)
+    rounds: list[RoundRecord] = field(default_factory=list)
 
     def stage(self, name: str) -> StageStat:
         for s in self.stages:
@@ -84,15 +96,10 @@ class StatsReport:
     def total_seconds(self) -> float:
         return sum(s.seconds for s in self.stages)
 
-    def to_tsv(self) -> str:
-        lines = ["name\tmetric\tvalue"]
-        for s in self.stages:
-            lines.append(f"{s.name}\tseconds\t{s.seconds:.6f}")
-            lines.append(f"{s.name}\tpeak_alloc_bytes\t{s.peak_alloc}")
-            lines.append(f"{s.name}\trss_peak_bytes\t{s.rss_peak}")
-        for key, value in self.counts.items():
-            lines.append(f"totals\t{key}\t{value}")
-        return "\n".join(lines) + "\n"
+    def to_json(self) -> str:
+        """`{"stages": [...], "counts": {...}, "rounds": [...]}`, with the
+        StageStat and RoundRecord field names as keys."""
+        return json.dumps(asdict(self))
 
 
 def _rss_peak_bytes() -> int:
@@ -192,9 +199,9 @@ def run_pipeline(input_path: str | Path, output_path: str | Path,
     the result.  With `cfg.verify`, the verify stage decodes those very
     bytes and compares their expansion with input_path, streamed from
     disk.  The bytes are written to output_path only once every stage
-    has succeeded, and the stats report is returned; the caller persists
-    it wherever it wants it.  The text is held only until the parse
-    returns, the factorization until `lz_to_slg` returns.
+    has succeeded, and the stats report, rounds included, is returned;
+    the caller persists it wherever it wants it.  The text is held only
+    until the parse returns, the factorization until `lz_to_slg` returns.
     """
     cfg = cfg or PipelineConfig()
     input_path = Path(input_path)
@@ -224,6 +231,7 @@ def run_pipeline(input_path: str | Path, output_path: str | Path,
     result = run_stage(report, "recompress",
                        lambda: recompress(pruned, cfg.strategy, cfg.seed),
                        profile=prof)
+    report.rounds = result.records
     size = grammar_size(result.grammar)
     report.counts["productions"] = size.productions
     report.counts["grammar_size"] = size.size

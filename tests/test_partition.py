@@ -1,6 +1,7 @@
 """Pair statistics, level partitions, and the shared rule builder."""
 
 import itertools
+import json
 import random
 
 import numpy as np
@@ -13,9 +14,10 @@ from rlslp.grammar import RunRule, SeqRule
 from rlslp.naive import recompress_string
 from rlslp.partition import (PairMaps, Partition, PartitionError,
                              PartitionSource, RlslpBuilder,
-                             deterministic_partition, randomized_partition,
-                             records_to_tsv, replaced_weight, round_limit,
-                             symbol_rank)
+                             RoundRecord, deterministic_partition,
+                             randomized_partition, replaced_weight,
+                             round_limit, symbol_rank)
+from rlslp.pipeline import StatsReport
 
 A, B, C = -97, -98, -99  # terminals a, b, c
 
@@ -171,45 +173,26 @@ def test_injected_partitions_replay_then_exhaust():
     assert src.log == parts
 
 
-def test_records_to_tsv_frozen():
-    from rlslp.partition import RoundRecord
+def test_round_records_json_frozen():
     records = [
         RoundRecord(round=1, phase="bcomp", length_after=5, new_rules=2),
         RoundRecord(round=2, phase="pcomp", length_after=3, new_rules=1,
                     replaced_weight=2, total_weight=4, work_size=9),
     ]
-    assert records_to_tsv(records) == (
-        "round\tphase\tmetric\tvalue\n"
-        "1\tbcomp\tlength_after\t5\n"
-        "1\tbcomp\tnew_rules\t2\n"
-        "2\tpcomp\tlength_after\t3\n"
-        "2\tpcomp\tnew_rules\t1\n"
-        "2\tpcomp\treplaced_weight\t2\n"
-        "2\tpcomp\ttotal_weight\t4\n"
-        "2\tpcomp\twork_size\t9\n"
-    )
-
-
-def test_records_to_tsv_seconds_row_only_when_timed():
-    from rlslp.partition import RoundRecord
-    timed = RoundRecord(round=0, phase="bcomp", length_after=5,
-                        new_rules=2, work_size=9, seconds=0.25)
-    assert records_to_tsv([timed]).endswith(
-        "0\tbcomp\twork_size\t9\n0\tbcomp\tseconds\t0.250000\n")
-    untimed = RoundRecord(round=0, phase="bcomp", length_after=5,
-                          new_rules=2)
-    assert "seconds" not in records_to_tsv([untimed])
-
-
-def test_records_to_tsv_phase_parts_only_when_timed():
-    from rlslp.partition import RoundRecord
-    record = RoundRecord(round=1, phase="pcomp", length_after=3,
-                         new_rules=1, seconds=0.5, nocc_s=0.125,
-                         rewrite_s=0.375)
-    assert records_to_tsv([record]).endswith(
-        "1\tpcomp\tseconds\t0.500000\n"
-        "1\tpcomp\tnocc_s\t0.125000\n"
-        "1\tpcomp\trewrite_s\t0.375000\n")
+    untimed = {"seconds": 0.0, "nocc_s": 0.0, "pair_count_s": 0.0,
+               "partition_s": 0.0, "rewrite_s": 0.0, "level_lengths_s": 0.0}
+    assert json.loads(StatsReport(rounds=records).to_json()) == {
+        "stages": [],
+        "counts": {},
+        "rounds": [
+            {"round": 1, "phase": "bcomp", "length_after": 5,
+             "new_rules": 2, "replaced_weight": 0, "total_weight": 0,
+             "work_size": 0, **untimed},
+            {"round": 2, "phase": "pcomp", "length_after": 3,
+             "new_rules": 1, "replaced_weight": 2, "total_weight": 4,
+             "work_size": 9, **untimed},
+        ],
+    }
 
 
 def test_partition_side_table_by_rank():

@@ -1,6 +1,7 @@
 """Dataset generation, the end-to-end pipeline, CLI, and README drift."""
 
 import hashlib
+import json
 import random
 import re
 import tracemalloc
@@ -143,10 +144,11 @@ def test_run_pipeline_stages_and_counts(tmp_path):
     assert report.counts["phrases"] >= 1
     assert report.total_seconds() == pytest.approx(
         sum(s.seconds for s in report.stages))
-    tsv = report.to_tsv()
-    assert tsv.startswith("name\tmetric\tvalue\n")
-    assert "recompress\tseconds\t" in tsv
-    assert "totals\tinput_bytes\t" in tsv
+    stats = json.loads(report.to_json())
+    assert list(stats) == ["stages", "counts", "rounds"]
+    recompress = stats["stages"][STAGE_NAMES.index("recompress")]
+    assert recompress["name"] == "recompress" and "seconds" in recompress
+    assert stats["counts"]["input_bytes"] == len(data)
 
 
 def test_run_pipeline_is_deterministic(tmp_path):
@@ -206,12 +208,11 @@ def test_pipeline_config_validation():
 def test_allocation_peaks_traced_only_for_stats_out(tmp_path, monkeypatch):
     import rlslp.pipeline
     inp, _ = _write_corpus(tmp_path, size=20000)
-    stats = tmp_path / "stats.tsv"
+    stats = tmp_path / "stats.json"
     assert cli.main(["pipeline", str(inp), str(tmp_path / "a.slgf"),
                      "--stats-out", str(stats)]) == 0
-    rows = [line.split("\t") for line in stats.read_text().splitlines()]
-    peaks = {name: int(value) for name, metric, value in rows
-             if metric == "peak_alloc_bytes"}
+    peaks = {s["name"]: s["peak_alloc"]
+             for s in json.loads(stats.read_text())["stages"]}
     assert all(peaks[name] > 0
                for name in ("parse_bm", "lz_to_slg", "recompress"))
 
@@ -238,14 +239,15 @@ def test_cli_end_to_end(tmp_path, capsys):
     base_path.write_bytes(load_sample()[:1000])
     data_path = tmp_path / "data.bin"
     out_path = tmp_path / "out.slgf"
-    stats_path = tmp_path / "stats.tsv"
+    stats_path = tmp_path / "stats.json"
     assert cli.main(["gen-dataset", str(data_path), "--target-size", "30K",
                      "--mutation-rate", "0.01", "--seed", "6",
                      "--base", str(base_path)]) == 0
     assert data_path.stat().st_size == 30 * 1024
     assert cli.main(["pipeline", str(data_path), str(out_path), "--verify",
                      "--stats-out", str(stats_path)]) == 0
-    assert stats_path.read_text().startswith("name\tmetric\tvalue\n")
+    assert set(json.loads(stats_path.read_text())) == {
+        "stages", "counts", "rounds"}
     assert cli.main(["verify", str(out_path), str(data_path)]) == 0
     capsys.readouterr()
 
@@ -270,20 +272,42 @@ def test_cli_stage_commands_chain(tmp_path):
     assert cli.main(["verify", str(final), str(data_path)]) == 0
 
     naive_out = tmp_path / "naive.slgf"
-    rounds = tmp_path / "rounds.tsv"
+    rounds = tmp_path / "rounds.json"
     assert cli.main(["recompress-naive", str(data_path), str(naive_out),
                      "--stats-out", str(rounds)]) == 0
     assert naive_out.read_bytes() == final.read_bytes()
-    rows = [line.split("\t") for line in rounds.read_text().splitlines()]
-    assert rows[0] == ["round", "phase", "metric", "value"]
-    lengths = [int(r[3]) for r in rows[1:] if r[2] == "length_after"]
-    assert lengths[-1] == 1
-    assert {"seconds", "work_size"} <= {r[2] for r in rows[1:]}
+    records = json.loads(rounds.read_text())["rounds"]
+    assert records[-1]["length_after"] == 1
+    assert all(r["work_size"] > 0 for r in records)
+    assert sum(r["seconds"] for r in records) > 0
 
     exact = tmp_path / "exact.lzpf"
     assert cli.main(["parse-exact", str(data_path), str(exact)]) == 0
     fz = decode_factorization_bytes(exact.read_bytes())
     assert decode_factorization(fz) == data_path.read_bytes()
+
+
+def test_cli_stats_out_is_one_json_report(tmp_path):
+    inp, _ = _write_corpus(tmp_path, size=5000)
+    slgf = tmp_path / "g.slgf"
+    runs = {"pipeline": [str(inp), str(slgf), "--verify"],
+            "parse-bm": [str(inp), str(tmp_path / "a.lzpf")],
+            "parse-exact": [str(inp), str(tmp_path / "b.lzpf")],
+            "recompress": [str(slgf), str(tmp_path / "c.slgf")],
+            "recompress-naive": [str(inp), str(tmp_path / "d.slgf")]}
+    for cmd, argv in runs.items():
+        out = tmp_path / f"{cmd}.json"
+        assert cli.main([cmd, *argv, "--stats-out", str(out)]) == 0
+        assert set(json.loads(out.read_text())) == {
+            "stages", "counts", "rounds"}, cmd
+
+    report = json.loads((tmp_path / "pipeline.json").read_text())
+    rounds, productions = report["rounds"], report["counts"]["productions"]
+    assert rounds and rounds[-1]["length_after"] == 1
+    assert all(r["work_size"] > 0 for r in rounds)
+    # every round's new rules, plus the wrapper rule if the start needs one
+    assert sum(r["new_rules"] for r in rounds) in (productions,
+                                                   productions - 1)
 
 
 def test_cli_verify_rejects_wrong_parse(tmp_path, capsys):
