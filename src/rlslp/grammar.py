@@ -232,37 +232,17 @@ def validate(g: Grammar) -> ValidationReport:
 def expansion_lengths(g: Grammar) -> list[int]:
     """Expansion length of every rule, index-aligned (entry 0 unused).
 
-    Rejects grammars whose expansion would not fit in a signed 64-bit
-    length, which bounds every downstream size computation.
+    Rejects invalid grammars, and grammars whose expansion would not fit
+    in a signed 64-bit length, which bounds every downstream size
+    computation.
     """
-    lengths = _capped_lengths(g)
+    _check_valid(g)
+    ent, ptr, run = g.ent.tolist(), g.ptr.tolist(), g.run.tolist()
+    lengths, _ = _expansions(ent, ptr, run, 0)
+    del lengths[len(g) + 1:]
     for i, n in enumerate(lengths):
         if n > MAX_EXPANSION:
             raise GrammarError(f"expansion length of rule {i} exceeds 2^63-1")
-    return lengths
-
-
-def _capped_lengths(g: Grammar) -> list[int]:
-    """expansion_lengths, but a length past 2^63-1 is cut to 2^63, so
-    the integers stay bounded and no rule is rejected."""
-    cap = MAX_EXPANSION + 1
-    m = len(g)
-    # every terminal reads as -1, whose length is the list's last item
-    ent = np.where(g.symbol_mask() & (g.ent < 0), -1, g.ent).tolist()
-    lengths = [0] * (m + 1) + [1]
-    at = lengths.__getitem__
-    ptr = g.ptr.tolist()
-    i = 0
-    for a, b, run in zip(ptr, ptr[1:], g.run.tolist()):
-        i += 1
-        if b - a != 2:
-            n = sum(map(at, ent[a:b]))
-        elif run:
-            n = lengths[ent[a]] * (ent[a + 1] & _U64_MASK)
-        else:
-            n = lengths[ent[a]] + lengths[ent[a + 1]]
-        lengths[i] = n if n < cap else cap
-    del lengths[m + 1:]
     return lengths
 
 
@@ -271,49 +251,78 @@ def grammar_size(g: Grammar) -> GrammarSize:
     return GrammarSize(len(g.ent), len(g))
 
 
-# Streaming expansion.  A bounded bottom-up memo keeps the walk fast on
-# repetitive grammars without letting cache growth track the output size.
+# Streaming expansion.  A fixed-budget memo of the short rules keeps the
+# walk fast; extra memory is that budget plus lists of the grammar's size.
 
 _MEMO_RULE_MAX = 1 << 16
-_MEMO_BUDGET = 64 << 20
+# fixed: a budget of 32x the grammar's entry bytes (3.1 MiB) made the
+# expansion of the repetitive 32 MiB benchmark text 1.7x slower
+_MEMO_BUDGET = 16 << 20
 # chunks mostly stay below 64 KiB, where glibc's free() starts to
 # consolidate and trim the heap: with 64 KiB chunks a streaming verify
 # after a compress in the same process page-faulted about 1,200 times per
 # pass over rep32m's 32 MiB, as each freed chunk shrank the heap that the
 # next one grew again
 _CHUNK = 1 << 15
-_BYTES = [bytes((c,)) for c in range(MAX_ALPHABET)]
+# the memo's terminal slots, symbols -256..-1
+_TERMINALS = [bytes((term_byte(s),)) for s in range(-MAX_ALPHABET, 0)]
 
 
-def _build_memo(ent: list[int], ptr: list[int], run: list[bool],
-                lengths: list[int]) -> dict[int, bytes]:
-    """Expansions of the rules that fit, smallest ids first; terminals
-    are in it too, keyed by their symbol."""
-    memo = {term(c): b for c, b in enumerate(_BYTES)}
+def _check_valid(g: Grammar) -> None:
+    report = validate(g)
+    if not report.ok:
+        where = f"rule {report.rule_index}: " if report.rule_index else ""
+        raise GrammarError(where + report.message)
+
+
+def _expansions(ent: list[int], ptr: list[int], run: list[bool],
+                budget: int) -> tuple[list[int], list]:
+    """Every rule's expansion length, cut to 2^63 past 2^63-1, and the
+    expansion of every rule that fits the memo, from one pass in id
+    order over a valid grammar's arrays.  Both lists are indexed by
+    symbol: rule i at slot i, terminal -(c+1) at slot -(c+1).  A rule
+    fits if it expands to at most _MEMO_RULE_MAX bytes and to no more
+    than the budget has left; its children expand to no more than it
+    does, so they fit too.  The others read None.
+    """
+    cap = MAX_EXPANSION + 1
+    rule_max = _MEMO_RULE_MAX
+    lengths = [0] * (len(run) + 1) + [1] * MAX_ALPHABET
+    memo = [None] * (len(run) + 1) + _TERMINALS
+    at = lengths.__getitem__
     get = memo.__getitem__
-    spent = 0
-    for i, (a, b, is_run) in enumerate(zip(ptr, ptr[1:], run), start=1):
-        n = lengths[i]
-        if n > _MEMO_RULE_MAX or spent + n > _MEMO_BUDGET:
-            continue
-        try:
-            if b - a != 2:
-                memo[i] = b"".join(map(get, ent[a:b]))
-            elif is_run:
-                memo[i] = get(ent[a]) * ent[a + 1]
-            else:
-                memo[i] = get(ent[a]) + get(ent[a + 1])
-        except KeyError:  # a child did not fit
-            continue
-        spent += n
-    return memo
+    left = budget
+    i = 0
+    for a, b, is_run in zip(ptr, ptr[1:], run):
+        i += 1
+        if is_run:
+            x = ent[a]
+            n = lengths[x] * (ent[a + 1] & _U64_MASK)
+            if n <= left and n <= rule_max:
+                memo[i] = memo[x] * ent[a + 1]
+                left -= n
+        elif b - a == 2:
+            x = ent[a]
+            y = ent[a + 1]
+            n = lengths[x] + lengths[y]
+            if n <= left and n <= rule_max:
+                memo[i] = memo[x] + memo[y]
+                left -= n
+        else:
+            syms = ent[a:b]
+            n = sum(map(at, syms))
+            if n <= left and n <= rule_max:
+                memo[i] = b"".join(map(get, syms))
+                left -= n
+        lengths[i] = n if n < cap else cap
+    return lengths, memo
 
 
 def iter_expansion(g: Grammar, rule_index: int | None = None):
     """Yield the expansion of a rule as a sequence of bytes chunks.
 
-    Additional memory is bounded by the memo budget plus the grammar
-    depth, independent of the output length.
+    Additional memory is bounded by the memo budget plus lists of the
+    grammar's size, independent of the output length.
     """
     if not len(g):
         raise GrammarError("cannot expand an empty grammar")
@@ -321,22 +330,16 @@ def iter_expansion(g: Grammar, rule_index: int | None = None):
         rule_index = g.start
     if not 1 <= rule_index <= len(g):
         raise GrammarError(f"no rule {rule_index}")
-    report = validate(g)
-    if not report.ok:
-        where = f"rule {report.rule_index}: " if report.rule_index else ""
-        raise GrammarError(where + report.message)
+    _check_valid(g)
+    ent, ptr, run = g.ent.tolist(), g.ptr.tolist(), g.run.tolist()
     # a rule only references shorter rules, so if this one fits, so
-    # does everything it expands; unreachable rules may not
-    lengths = _capped_lengths(g)
+    # does everything it expands, and every run it reaches has an
+    # exponent below 2^63; unreachable rules may not
+    lengths, memo = _expansions(ent, ptr, run, _MEMO_BUDGET)
     if lengths[rule_index] > MAX_EXPANSION:
         raise GrammarError(
             f"expansion length of rule {rule_index} exceeds 2^63-1")
-    ent = g.ent.tolist()
-    ptr = g.ptr.tolist()
-    run = g.run.tolist()
-    for a in g.ptr[:-1][g.run].tolist():
-        ent[a + 1] &= _U64_MASK
-    memo = _build_memo(ent, ptr, run, lengths)
+    del lengths
 
     buf = bytearray()
     # frames: [next entry, end, True] for sequences, [base, remaining,
@@ -357,13 +360,7 @@ def iter_expansion(g: Grammar, rule_index: int | None = None):
                 continue
             frame[1] -= 1
             sym = frame[0]
-        if sym < 0:
-            buf.append(term_byte(sym))
-            if len(buf) >= _CHUNK:
-                yield bytes(buf)
-                buf.clear()
-            continue
-        cached = memo.get(sym)
+        cached = memo[sym]
         if cached is not None:
             if not frame[2] and frame[1] > 0:
                 # emit the whole run at once, in bounded slices
@@ -372,7 +369,7 @@ def iter_expansion(g: Grammar, rule_index: int | None = None):
                 if buf:
                     yield bytes(buf)
                     buf.clear()
-                step = max(1, _CHUNK // max(1, len(cached)))
+                step = _CHUNK // len(cached) or 1
                 while reps > 0:
                     take = min(reps, step)
                     yield cached * take

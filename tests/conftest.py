@@ -1,9 +1,11 @@
-"""Shared corpus builders for the test suite."""
+"""Shared corpus builders for the test suite, and a look into the
+expansion memo."""
 
 from __future__ import annotations
 
 import random
 
+from rlslp import grammar
 from rlslp.grammar import Grammar, RunRule, SeqRule
 
 
@@ -58,3 +60,12 @@ def random_rlslp(rng: random.Random, max_rules: int = 12,
             rules.append(SeqRule(tuple(sym()
                                        for _ in range(rng.randint(1, 4)))))
     return Grammar(rules)
+
+
+def memo_sizes(g: Grammar) -> dict[int, int]:
+    """Expansion length of every rule the expansion memoizes, by rule id,
+    under the module's current budget."""
+    _, memo = grammar._expansions(g.ent.tolist(), g.ptr.tolist(),
+                                  g.run.tolist(), grammar._MEMO_BUDGET)
+    return {i: len(x) for i, x in enumerate(memo[1:len(g) + 1], start=1)
+            if x is not None}

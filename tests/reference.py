@@ -1,7 +1,8 @@
-"""Rule-object reference versions of the grammar codec, validation and
-pruning, the per-phrase factorization checks, the dict-building
-partition strategies, and the engine's inlining of single-use rules;
-and a left-comb binarization that tests use to build deep grammars.
+"""Rule-object reference versions of the grammar codec, validation,
+expansion and pruning, the per-phrase factorization checks, the
+dict-building partition strategies, and the engine's inlining of
+single-use rules; and a left-comb binarization that tests use to build
+deep grammars.
 
 These walk `Grammar.rules` one `SeqRule`/`RunRule` at a time, the
 phrases one at a time, and the alphabet one symbol at a time, as the
@@ -123,6 +124,26 @@ def ref_decode(data: bytes) -> Grammar:
     if not report.ok:
         raise FormatError(f"rule {report.rule_index}: {report.message}")
     return g
+
+
+def ref_expand(g: Grammar, rule_index: int | None = None) -> bytes:
+    """Expansion of a rule (the start by default), by recursion over
+    the rule objects; each rule is expanded once."""
+    rules = g.rules
+    done: dict[int, bytes] = {}
+
+    def go(sym: int) -> bytes:
+        if sym < 0:
+            return bytes((term_byte(sym),))
+        if sym not in done:
+            rule = rules[sym - 1]
+            if isinstance(rule, RunRule):
+                done[sym] = go(rule.base) * rule.exponent
+            else:
+                done[sym] = b"".join(map(go, rule.rhs))
+        return done[sym]
+
+    return go(len(rules) if rule_index is None else rule_index)
 
 
 def ref_prune(g: Grammar) -> Grammar:

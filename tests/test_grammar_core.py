@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rlslp
-from rlslp import cli
+from conftest import memo_sizes, random_rlslp
+from reference import ref_expand
+from rlslp import cli, grammar
 from rlslp.grammar import (FormatError, Grammar, GrammarError, RunRule,
                            SeqRule, decode_grammar, encode_grammar, expand,
                            expansion_lengths, grammar_size, iter_expansion,
@@ -86,6 +87,15 @@ def test_expansion_lengths_overflow_rejected():
         rules.append(RunRule(len(rules), 2))
     with pytest.raises(GrammarError):
         expansion_lengths(Grammar(rules))
+
+
+def test_expansion_lengths_rejects_invalid_grammars():
+    # the lengths are indexed by symbol, so a terminal outside the
+    # alphabet or a forward reference must not reach them
+    for rules in ([SeqRule((-1,)), SeqRule((1, -300))],
+                  [SeqRule((2,)), SeqRule((-1,))]):
+        with pytest.raises(GrammarError):
+            expansion_lengths(Grammar(rules))
 
 
 def test_oversized_dead_rules_do_not_block_expansion(tmp_path):
@@ -202,7 +212,7 @@ def test_iter_expansion_matches_expand():
     rng = random.Random(8)
     for _ in range(80):
         g = random_rlslp(rng)
-        assert b"".join(iter_expansion(g)) == expand(g)
+        assert b"".join(iter_expansion(g)) == ref_expand(g)
 
 
 def test_iter_expansion_large_run_chunked():
@@ -210,3 +220,74 @@ def test_iter_expansion_large_run_chunked():
     chunks = list(iter_expansion(g))
     assert all(len(c) <= 65536 for c in chunks)
     assert b"".join(chunks) == b"ab" * 100000
+
+
+def test_iter_expansion_rejects_over_long_start_on_first_next():
+    # rule k expands to 2^k bytes, so rule 64 is one past 2^63-1
+    g = Grammar([SeqRule((A, B))] + [RunRule(i, 2) for i in range(1, 64)])
+    chunks = iter_expansion(g)
+    with pytest.raises(GrammarError, match="rule 64 exceeds"):
+        next(chunks)
+
+
+def _memo_edge_grammar(last):
+    """Rule 2 expands to exactly _MEMO_RULE_MAX bytes, rule 3 to one
+    more; `last` is the start rule."""
+    half = grammar._MEMO_RULE_MAX // 2
+    return Grammar([SeqRule((A, B)), RunRule(1, half), SeqRule((2, A)),
+                    last])
+
+
+@pytest.mark.parametrize("last", [SeqRule((2, 3)), SeqRule((3, 2)),
+                                  SeqRule((1, 3)), SeqRule((3, 1))])
+def test_memo_pair_across_the_rule_limit(last):
+    g = _memo_edge_grammar(last)
+    memoized = memo_sizes(g)
+    assert memoized[2] == grammar._MEMO_RULE_MAX
+    assert 3 not in memoized and 4 not in memoized
+    assert expand(g) == ref_expand(g)
+
+
+@pytest.mark.parametrize("last", [RunRule(3, 3), RunRule(2, 3)])
+def test_memo_run_over_a_long_rule(last):
+    # a run over the unmemoized rule 3, and a run over the memoized
+    # rule 2 that is itself too long to memoize
+    g = _memo_edge_grammar(last)
+    assert 4 not in memo_sizes(g)
+    assert expand(g) == ref_expand(g)
+
+
+@pytest.mark.parametrize("last", [SeqRule((1, 3, B, 2, 3, 1)),
+                                  SeqRule((2, B, A))])
+def test_memo_sequence_mixing_memoized_and_unmemoized_children(last):
+    # rule 3 is not memoized; a sequence over memoized children alone
+    # is not either once it is longer than the limit
+    g = _memo_edge_grammar(last)
+    assert set(memo_sizes(g)) == {1, 2}
+    assert expand(g) == ref_expand(g)
+
+
+def test_memo_budget_runs_out_mid_grammar(monkeypatch):
+    monkeypatch.setattr(grammar, "_MEMO_BUDGET", 40)
+    # rules 1-4 expand to 2, 4, 8 and 16 bytes (30 in all), rule 5 to 32
+    # does not fit what is left, nor does rule 6, its child; rule 7
+    # (2 bytes) still does
+    rules = [SeqRule((A, B))] + [RunRule(i, 2) for i in range(1, 6)]
+    rules += [SeqRule((B, A)), SeqRule((6, 7, 4, A)), RunRule(8, 3)]
+    g = Grammar(rules)
+    memoized = memo_sizes(g)
+    assert memoized == {1: 2, 2: 4, 3: 8, 4: 16, 7: 2}
+    assert sum(memoized.values()) <= grammar._MEMO_BUDGET
+    assert expand(g) == ref_expand(g)
+    for i in range(1, len(g) + 1):
+        assert expand(g, i) == ref_expand(g, i)
+
+
+def test_memo_small_budgets_match_reference(monkeypatch):
+    rng = random.Random(9)
+    for budget in (0, 1, 7, 50):
+        monkeypatch.setattr(grammar, "_MEMO_BUDGET", budget)
+        for _ in range(30):
+            g = random_rlslp(rng)
+            assert sum(memo_sizes(g).values()) <= budget
+            assert expand(g) == ref_expand(g)

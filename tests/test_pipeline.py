@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rlslp import cli
+from conftest import memo_sizes
+from rlslp import cli, grammar
 from rlslp.dataset import gen_dataset, load_sample
 from rlslp.grammar import (FormatError, Grammar, RunRule, SeqRule,
                            decode_grammar, encode_grammar, expand)
@@ -125,6 +126,24 @@ def test_verify_files(tmp_path):
     empty.write_bytes(b"")
     with pytest.raises(FormatError):
         verify_files(empty, inp)
+
+
+def test_verify_memo_stays_within_its_bounds(tmp_path, monkeypatch):
+    # the 4 MiB acceptance corpus
+    inp = tmp_path / "in.bin"
+    inp.write_bytes(gen_dataset(load_sample(), 4 << 20, mutation_rate=1e-5,
+                                seed=21))
+    out = tmp_path / "g.slgf"
+    run_pipeline(inp, out, PipelineConfig())
+    g = decode_grammar(out.read_bytes())
+    # the default budget, and one that this grammar's memo overruns
+    for budget in (grammar._MEMO_BUDGET, 1 << 20):
+        monkeypatch.setattr(grammar, "_MEMO_BUDGET", budget)
+        sizes = memo_sizes(g).values()
+        assert sum(sizes) <= budget
+        assert max(sizes) <= grammar._MEMO_RULE_MAX
+        assert verify_files(out, inp) == (True, None)
+    assert len(sizes) < len(g)
 
 
 # --- pipeline -----------------------------------------------------------
