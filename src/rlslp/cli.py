@@ -25,7 +25,8 @@ from .lz import (ParseError, decode_factorization_bytes,
 from .naive import recompress_string
 from .partition import STRATEGIES, ConvergenceError, PartitionError
 from .pipeline import (PipelineConfig, PipelineError, StatsReport,
-                       run_pipeline, verify_files, write_atomic)
+                       mapped_input, run_pipeline, verify_files,
+                       write_atomic)
 from .slg import lz_to_slg
 
 _SIZE_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
@@ -126,11 +127,11 @@ def _cmd_gen_dataset(args) -> int:
 
 
 def _cmd_parse(args, exact: bool) -> int:
-    text = Path(args.input).read_bytes()
-    if exact:
-        fz = parse_exact_lz77(text)
-    else:
-        fz = parse_bentley_mcilroy(text, args.block_size)
+    with mapped_input(args.input) as text:
+        if exact:
+            fz = parse_exact_lz77(text)
+        else:
+            fz = parse_bentley_mcilroy(text, args.block_size)
     write_atomic(args.output, encode_factorization(fz))
     stats = factorization_stats(fz)
     print(f"{args.output}: {stats['phrases']} phrases, "

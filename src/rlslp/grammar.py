@@ -258,11 +258,12 @@ _MEMO_RULE_MAX = 1 << 16
 # fixed: a budget of 32x the grammar's entry bytes (3.1 MiB) made the
 # expansion of the repetitive 32 MiB benchmark text 1.7x slower
 _MEMO_BUDGET = 16 << 20
-# chunks mostly stay below 64 KiB, where glibc's free() starts to
-# consolidate and trim the heap: with 64 KiB chunks a streaming verify
-# after a compress in the same process page-faulted about 1,200 times per
-# pass over rep32m's 32 MiB, as each freed chunk shrank the heap that the
-# next one grew again
+# a chunk is at most _CHUNK bytes or one memoized rule, so at most 64 KiB,
+# where glibc's free() starts to consolidate and trim the heap; the
+# buffer is flushed before a rule that would take it past _CHUNK.  With
+# 64 KiB chunks a streaming verify after a compress in the same process
+# page-faulted about 1,200 times per pass over rep32m's 32 MiB, as each
+# freed chunk shrank the heap that the next one grew again
 _CHUNK = 1 << 15
 # the memo's terminal slots, symbols -256..-1
 _TERMINALS = [bytes((term_byte(s),)) for s in range(-MAX_ALPHABET, 0)]
@@ -375,6 +376,9 @@ def iter_expansion(g: Grammar, rule_index: int | None = None):
                     yield cached * take
                     reps -= take
                 continue
+            if buf and len(buf) + len(cached) > _CHUNK:
+                yield bytes(buf)
+                buf.clear()
             buf += cached
             if len(buf) >= _CHUNK:
                 yield bytes(buf)

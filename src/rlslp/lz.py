@@ -9,6 +9,7 @@ before the phrase (sources may overlap the phrase itself, as in LZ77).
 
 from __future__ import annotations
 
+import mmap
 import struct
 from array import array
 from dataclasses import dataclass
@@ -24,9 +25,11 @@ DEFAULT_BLOCK_SIZE = 50
 
 FP_MOD = (1 << 61) - 1
 
-# text bytes per chunk of the parse's block table: large enough that the
-# per-chunk numpy calls are cheap, small enough that the chunk's arrays
-# stay a few MiB whatever the text length
+# text bytes per chunk of the parse: large enough that the per-chunk
+# numpy calls are cheap, small enough that the chunk's arrays stay a few
+# MiB whatever the text length.  A mapped text's resident pages are
+# dropped after every chunk of progress, and a match extension compares
+# at most a chunk per probe.
 _CHUNK_BYTES = 1 << 20
 
 # length of a match extension's first probe: most extensions are short
@@ -73,13 +76,15 @@ class ParseError(ValueError):
     """Raised when a factorization is malformed or undecodable."""
 
 
-def parse_exact_lz77(text: bytes) -> Factorization:
+def parse_exact_lz77(text: bytes | mmap.mmap) -> Factorization:
     """Greedy longest-match factorization (oracle role).
 
     Each phrase takes the longest prefix of the remainder that occurs
     earlier in the text; among valid sources the most recent one is
     reported.  Match lengths are found by galloping + binary search over
-    substring probes, so heavily repetitive inputs stay workable.
+    substring probes, so heavily repetitive inputs stay workable.  text
+    is bytes or a read-only map: it needs only find, rfind, slicing and
+    indexing.
     """
     n = len(text)
     phrases: list[Phrase] = []
@@ -117,8 +122,9 @@ def fingerprint(chunk: bytes) -> int:
     return int.from_bytes(chunk, "big") % FP_MOD
 
 
-def _block_fingerprints(text: bytes, block_size: int, start: int = 0,
-                        count: int | None = None) -> np.ndarray:
+def _block_fingerprints(text: bytes | mmap.mmap, block_size: int,
+                        start: int = 0, count: int | None = None
+                        ) -> np.ndarray:
     """Fingerprints of the count full blocks at offsets start, start + B,
     start + 2B, ... (by default every full block from start on), computed
     for all of them at once and read in place from text.
@@ -148,7 +154,15 @@ def _block_fingerprints(text: bytes, block_size: int, start: int = 0,
     return np.where(v >= mod, v - mod, v)
 
 
-def _block_table(text: bytes, block_size: int) -> dict[int, int]:
+def _release(text: bytes | mmap.mmap) -> None:
+    """Drop the resident pages of a mapped text; they fault back from the
+    page cache on the next touch.  Nothing to do for bytes."""
+    if isinstance(text, mmap.mmap):
+        text.madvise(mmap.MADV_DONTNEED)
+
+
+def _block_table(text: bytes | mmap.mmap, block_size: int
+                 ) -> dict[int, int]:
     """Offset of the first stride block with each fingerprint.
 
     Blocks are fingerprinted and deduplicated one chunk of text at a
@@ -169,6 +183,7 @@ def _block_table(text: bytes, block_size: int) -> dict[int, int]:
             _block_fingerprints(text, block_size, j * block_size,
                                 min(per_chunk, m - j)),
             return_index=True)
+        _release(text)
         new = held[np.searchsorted(held, fps)] != fps
         fps = fps[new]
         table.update(zip(fps.tolist(),
@@ -177,34 +192,46 @@ def _block_table(text: bytes, block_size: int) -> dict[int, int]:
     return table
 
 
-def _extend_match(text: bytes, src: int, dst: int, start: int) -> int:
+def _extend_match(text: bytes | mmap.mmap, src: int, dst: int,
+                  start: int) -> int:
     """Length of the common extension of text[src:] and text[dst:] from
-    offset start onward, found by galloping comparison.  Each probe
-    compares text at dst with a memoryview of the source in place;
-    slicing the bytes would copy both sides of every probe."""
+    offset start onward, found by galloping comparison.
+
+    Probes compare slices, which a map has too: `bytes.find` would pay
+    its needle preprocessing on every probe, and memoryview equality is
+    20x slower than slice equality.  The step stops growing at a chunk,
+    so no probe copies more than a chunk, and the text's pages are
+    released after every chunk of progress.  The binary search compares
+    only the part of each probe not yet known to match.
+    """
     n = len(text)
     k = start
     step = _GALLOP_START
-    with memoryview(text) as view:
-        while True:
-            hi = min(step, n - dst - k)
-            if hi <= 0:
-                return k
-            if text.startswith(view[src + k:src + k + hi], dst + k):
-                k += hi
-                step *= 2
-                continue
-            lo = 0
-            while lo + 1 < hi:
-                mid = (lo + hi) // 2
-                if text.startswith(view[src + k:src + k + mid], dst + k):
-                    lo = mid
-                else:
-                    hi = mid
-            return k + lo
+    mark = k + _CHUNK_BYTES
+    while True:
+        hi = min(step, n - dst - k)
+        if hi <= 0:
+            return k
+        if text[src + k:src + k + hi] == text[dst + k:dst + k + hi]:
+            k += hi
+            step = min(2 * step, _CHUNK_BYTES)
+            if k >= mark:
+                _release(text)
+                mark = k + _CHUNK_BYTES
+            continue
+        lo = 0
+        while lo + 1 < hi:
+            mid = (lo + hi) // 2
+            if (text[src + k + lo:src + k + mid]
+                    == text[dst + k + lo:dst + k + mid]):
+                lo = mid
+            else:
+                hi = mid
+        return k + lo
 
 
-def parse_bentley_mcilroy(text: bytes, block_size: int = DEFAULT_BLOCK_SIZE
+def parse_bentley_mcilroy(text: bytes | mmap.mmap,
+                          block_size: int = DEFAULT_BLOCK_SIZE
                           ) -> Factorization:
     """Approximate factorization from stored block fingerprints
     (Bentley and McIlroy, with Karp-Rabin fingerprints).
@@ -221,6 +248,15 @@ def parse_bentley_mcilroy(text: bytes, block_size: int = DEFAULT_BLOCK_SIZE
     and none otherwise; one table of first occurrences serves the whole
     scan.  Window fingerprints are computed only where the scan stands:
     rolled across a literal, recomputed after a match.
+
+    text is any read-only buffer, bytes or a read-only map of a file,
+    read through one code path.  For a map, the block table pass, the
+    scan and a long match extension drop the map's resident pages after
+    every _CHUNK_BYTES of progress, so about one chunk plus the sources
+    being checked stays resident, not the text; the page cache still
+    holds the file.  The phrases are the same either way.  A mapped file
+    must not shrink during the parse: touching a page past its new end
+    ends the process with SIGBUS.
     """
     if block_size < 2:
         raise ValueError("block size must be at least 2")
@@ -233,20 +269,25 @@ def parse_bentley_mcilroy(text: bytes, block_size: int = DEFAULT_BLOCK_SIZE
     i = lit = 0  # the literals since the last match start at lit
     h = fingerprint(text[:blk])
     while i <= last:
-        src = table.get(h)
-        if (src is not None and src + blk <= i
-                and text[src:src + blk] == text[i:i + blk]):
-            length = _extend_match(text, src, i, blk)
-            pos.extend(text[lit:i])
-            lens.extend(bytes(i - lit))
-            pos.append(src + 1)
-            lens.append(length)
-            i = lit = i + length
-            h = fingerprint(text[i:i + blk])
-        else:
-            if i < last:
-                h = ((h - text[i] * pow_top) * 256 + text[i + blk]) % FP_MOD
-            i += 1
+        # one chunk of progress, or one match past it, per release
+        stop = min(i + _CHUNK_BYTES, last)
+        while i <= stop:
+            src = table.get(h)
+            if (src is not None and src + blk <= i
+                    and text[src:src + blk] == text[i:i + blk]):
+                length = _extend_match(text, src, i, blk)
+                pos.extend(text[lit:i])
+                lens.extend(bytes(i - lit))
+                pos.append(src + 1)
+                lens.append(length)
+                i = lit = i + length
+                h = fingerprint(text[i:i + blk])
+            else:
+                if i < last:
+                    h = ((h - text[i] * pow_top) * 256
+                         + text[i + blk]) % FP_MOD
+                i += 1
+        _release(text)
     pos.extend(text[lit:])
     lens.extend(bytes(n - lit))
     return Factorization.from_arrays(np.frombuffer(pos, dtype=np.int64),

@@ -9,20 +9,28 @@ the numbers.  `StatsReport` is the toolkit's one telemetry record: the
 stages, the headline counts and the recompression rounds, written as
 JSON by every command's `--stats-out`.
 
-Only the parse reads the text.  The pipeline drops it once the parse
-returns, so the later stages run in memory that tracks the grammar, not
-the text, and verify streams the input file from disk.
+Only the parse reads the text, and never holds a copy of it: the input
+is mapped read-only, and the parse drops the map's resident pages after
+every chunk of progress, so about one chunk plus the sources being
+checked stays resident; the page cache still holds the file.  The map
+is closed once the parse returns, so the later stages run in memory that
+tracks the grammar, not the text, and verify streams the input file from
+disk.  Inputs must be regular files.  A file truncated during the parse
+ends the process with SIGBUS, and no output is written.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import mmap
 import os
 import resource
+import stat
 import time
 import tracemalloc
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -148,6 +156,32 @@ def write_atomic(path: str | Path, data: bytes) -> None:
         raise
 
 
+@contextmanager
+def mapped_input(path: str | Path) -> Iterator[bytes | mmap.mmap]:
+    """The contents of a regular file as a read-only buffer: a read-only
+    map, or b"" for an empty file, which cannot be mapped.  The map is
+    closed on exit.  PipelineError("input") for a path that is not a
+    regular file, checked before it is opened: opening a FIFO blocks."""
+    info = os.stat(path)
+    if not stat.S_ISREG(info.st_mode):
+        raise PipelineError("input", f"{path}: not a regular file")
+    if not info.st_size:
+        yield b""
+        return
+    with open(path, "rb") as fh:
+        text = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    try:
+        yield text
+    except BaseException:
+        # a numpy array or memoryview in the error's traceback may still
+        # export the map, and close() raises while one does; the map
+        # then closes when the last of them is collected
+        with suppress(BufferError):
+            text.close()
+        raise
+    text.close()
+
+
 def _first_mismatch(chunks: Iterable[bytes], read: Callable[[int], bytes]
                     ) -> int | None:
     """First offset where the concatenated chunks and the stream that
@@ -200,23 +234,22 @@ def run_pipeline(input_path: str | Path, output_path: str | Path,
     bytes and compares their expansion with input_path, streamed from
     disk.  The bytes are written to output_path only once every stage
     has succeeded, and the stats report, rounds included, is returned;
-    the caller persists it wherever it wants it.  The text is held only
-    until the parse returns, the factorization until `lz_to_slg` returns.
+    the caller persists it wherever it wants it.  The input is mapped
+    only until the parse returns (see `mapped_input`), the factorization
+    held until `lz_to_slg` returns.
     """
     cfg = cfg or PipelineConfig()
     input_path = Path(input_path)
     output_path = Path(output_path)
-    text = input_path.read_bytes()
-    if not text:
-        raise PipelineError("input", f"{input_path}: input is empty")
     report = StatsReport()
-    report.counts["input_bytes"] = len(text)
-
     prof = cfg.profile_memory
-    fz = run_stage(report, "parse_bm",
-                   lambda: parse_bentley_mcilroy(text, cfg.block_size),
-                   profile=prof)
-    del text
+    with mapped_input(input_path) as text:
+        if not text:
+            raise PipelineError("input", f"{input_path}: input is empty")
+        report.counts["input_bytes"] = len(text)
+        fz = run_stage(report, "parse_bm",
+                       lambda: parse_bentley_mcilroy(text, cfg.block_size),
+                       profile=prof)
     report.counts["phrases"] = len(fz)
 
     slg = run_stage(report, "lz_to_slg", lambda: lz_to_slg(fz),

@@ -222,6 +222,18 @@ def test_iter_expansion_large_run_chunked():
     assert b"".join(chunks) == b"ab" * 100000
 
 
+def test_iter_expansion_chunks_stay_within_64k():
+    # a memoized piece of up to 64 KiB after a buffer of almost 32 KiB
+    # is flushed on its own, not appended into a chunk of up to 96 KiB
+    for head, piece in ((30000, 61440), (32767, 65536), (2, 65536),
+                        (20000, 20000)):
+        g = Grammar([RunRule(B, head), RunRule(A, piece), SeqRule((1, 2)),
+                     SeqRule((3, 1, 3))])
+        chunks = list(iter_expansion(g))
+        assert max(map(len, chunks)) <= 65536
+        assert b"".join(chunks) == ref_expand(g)
+
+
 def test_iter_expansion_rejects_over_long_start_on_first_next():
     # rule k expands to 2^k bytes, so rule 64 is one past 2^63-1
     g = Grammar([SeqRule((A, B))] + [RunRule(i, 2) for i in range(1, 64)])

@@ -2,8 +2,10 @@
 
 import hashlib
 import random
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from rlslp.lz import (Factorization, ParseError, Phrase,
                       decode_factorization, decode_factorization_bytes,
                       encode_factorization, factorization_stats,
                       parse_bentley_mcilroy, parse_exact_lz77)
+from rlslp.pipeline import mapped_input
 from rlslp.slg import lz_to_slg
 
 
@@ -339,3 +342,40 @@ def test_bm_parse_peak_does_not_grow_with_text():
     finally:
         tracemalloc.stop()
     assert peak <= 0.25 * len(text)
+
+
+def test_parsers_read_a_mapped_file_as_they_read_bytes(tmp_path,
+                                                       monkeypatch):
+    # small chunks put releases in the block table pass, in the scan and
+    # in the middle of a match extension: "a" * 80000 is one match over
+    # more than a thousand chunks.  A mapped text's pages come back from
+    # the page cache, so the phrases are those of the bytes parsed with
+    # the default chunk
+    rng = random.Random(79)
+    texts = [mutated_text(rng, base_len=3000, total_len=90000),
+             bytes(rng.getrandbits(8) for _ in range(20000)),
+             b"a" * 80000, b"abcabcab"]
+    calls = set()
+    release = lz._release
+
+    def recorded(text):
+        calls.add(sys._getframe(1).f_code.co_name)
+        release(text)
+
+    for k, t in enumerate(texts):
+        path = tmp_path / f"t{k}"
+        path.write_bytes(t)
+        want = parse_bentley_mcilroy(t, 50)
+        with monkeypatch.context() as mp:
+            mp.setattr(lz, "_CHUNK_BYTES", 64)
+            mp.setattr(lz, "_release", recorded)
+            with mapped_input(path) as text:
+                got = parse_bentley_mcilroy(text, 50)
+                exact = parse_exact_lz77(text) if len(t) < 30000 else None
+        assert np.array_equal(got.pos, want.pos)
+        assert np.array_equal(got.length, want.length)
+        assert got.text_length == len(t)
+        if exact is not None:
+            assert phrases(exact) == phrases(parse_exact_lz77(t))
+    assert calls == {"_block_table", "_extend_match",
+                     "parse_bentley_mcilroy"}

@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rlslp
 from conftest import memo_sizes
 from rlslp import cli, grammar
 from rlslp.dataset import gen_dataset, load_sample
@@ -215,6 +219,73 @@ def test_run_pipeline_empty_input(tmp_path):
     with pytest.raises(PipelineError) as exc:
         run_pipeline(inp, tmp_path / "g.slgf", PipelineConfig())
     assert exc.value.stage == "input"
+
+
+def test_inputs_that_are_not_regular_files_are_rejected(tmp_path, capsys):
+    # opening a FIFO for reading would block until a writer comes, and a
+    # FIFO or a directory cannot be mapped
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    folder = tmp_path / "dir"
+    folder.mkdir()
+    for path in (fifo, folder):
+        with pytest.raises(PipelineError, match="not a regular file") as exc:
+            run_pipeline(path, tmp_path / "g.slgf", PipelineConfig())
+        assert exc.value.stage == "input"
+        for cmd in ("parse-bm", "parse-exact", "pipeline"):
+            assert cli.main([cmd, str(path), str(tmp_path / "o")]) == 1
+            assert "error: [input]" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "fifo"]
+
+
+def test_parse_error_holding_a_view_of_the_map_names_the_stage(
+        tmp_path, monkeypatch):
+    # the failed parse's traceback keeps an array over the map alive, so
+    # the map cannot close yet; the parse error must still come through
+    import rlslp.pipeline
+    inp, _ = _write_corpus(tmp_path, size=5000)
+
+    def failing_parse(text, block_size):
+        view = np.frombuffer(text, dtype=np.uint8)
+        raise ValueError(f"no parse of {len(view)} bytes")
+
+    monkeypatch.setattr(rlslp.pipeline, "parse_bentley_mcilroy",
+                        failing_parse)
+    with pytest.raises(PipelineError, match="no parse of 5000") as exc:
+        run_pipeline(inp, tmp_path / "g.slgf", PipelineConfig())
+    assert exc.value.stage == "parse_bm"
+    assert [p.name for p in tmp_path.iterdir()] == ["in.bin"]
+
+
+_PARSE_RSS = """
+import sys
+from rlslp.pipeline import run_pipeline
+report = run_pipeline(sys.argv[1], sys.argv[2])
+print(report.stage("parse_bm").rss_peak)
+"""
+# Linux starts a child's ru_maxrss at its parent's RSS, so the measured
+# process is started from a small intermediate one, not from pytest
+_HOP = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+
+
+def test_parse_rss_does_not_track_the_text(tmp_path):
+    # the parse reads a map of the input and drops its resident pages
+    # after every chunk, so on the repetitive benchmark text the parse's
+    # RSS high-water mark grows by a few MiB from 4 to 32 MiB; read as a
+    # private copy, the 28 MiB more text was resident
+    src = str(Path(rlslp.__file__).parents[1])
+    peaks = []
+    for size in (4 << 20, 32 << 20):
+        inp = tmp_path / f"in{size}.bin"
+        inp.write_bytes(gen_dataset(load_sample(), size, 1e-6, seed=41))
+        run = subprocess.run(
+            [sys.executable, "-c", _HOP, sys.executable, "-c", _PARSE_RSS,
+             str(inp), str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, check=True)
+        peaks.append(int(run.stdout.split()[-1]))
+        inp.unlink()
+    assert peaks[1] - peaks[0] < 7 << 20, peaks
 
 
 def test_pipeline_config_validation():
