@@ -19,11 +19,12 @@ from .dataset import gen_dataset, load_sample
 from .engine import recompress
 from .grammar import (GrammarError, FormatError, decode_grammar,
                       encode_grammar, grammar_size)
-from .lz import (ParseError, decode_factorization_bytes,
+from .lz import (DEFAULT_BLOCK_SIZE, ParseError, decode_factorization_bytes,
                  encode_factorization, factorization_stats,
                  parse_bentley_mcilroy, parse_exact_lz77)
 from .naive import recompress_string
-from .partition import STRATEGIES, ConvergenceError, PartitionError
+from .partition import (DEFAULT_SEED, DEFAULT_STRATEGY, STRATEGIES,
+                        ConvergenceError, PartitionError)
 from .pipeline import (PipelineConfig, PipelineError, StatsReport,
                        mapped_input, run_pipeline, verify_files,
                        write_atomic)
@@ -49,10 +50,11 @@ def parse_size(value: str) -> int:
 
 
 def _add_strategy_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", choices=STRATEGIES, default="mixed",
-                   help="partition strategy per pair round (default mixed)")
-    p.add_argument("--seed", type=int, default=42,
-                   help="seed for randomized partitions (default 42)")
+    p.add_argument("--strategy", choices=STRATEGIES, default=DEFAULT_STRATEGY,
+                   help="partition strategy per pair round "
+                        "(default %(default)s)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed for randomized partitions (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="approximate LZ parse via block fingerprints")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--block-size", type=int, default=50)
+    p.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE)
     p.add_argument("--stats-out", default=None)
 
     p = sub.add_parser("parse-exact", help="exact greedy LZ77 parse")
@@ -109,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="full text-to-grammar pipeline")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--block-size", type=int, default=50)
+    p.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE)
     _add_strategy_args(p)
     p.add_argument("--stats-out", default=None)
     p.add_argument("--verify", action="store_true",
@@ -145,6 +147,8 @@ def _cmd_parse(args, exact: bool) -> int:
 def _cmd_lz_to_slg(args) -> int:
     fz = decode_factorization_bytes(Path(args.input).read_bytes())
     g = lz_to_slg(fz)
+    if not len(g):
+        raise GrammarError("empty factorization: no grammar to write")
     write_atomic(args.output, encode_grammar(g))
     print(f"{args.output}: {len(g)} rules")
     return 0

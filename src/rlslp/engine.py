@@ -42,11 +42,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grammar import MAX_EXPANSION, Grammar, GrammarError, power, validate
+from .grammar import (MAX_EXPANSION, Grammar, GrammarError, _entries_of,
+                      _ranges, _starts, power)
 from .naive import string_rounds
-from .partition import (ConvergenceError, Laps, PairMaps, Partition,
-                        PartitionSource, RecompressResult, RlslpBuilder,
-                        RoundRecord, round_limit, round_record)
+from .partition import (DEFAULT_SEED, DEFAULT_STRATEGY, ConvergenceError,
+                        Laps, PairMaps, Partition, PartitionSource,
+                        RecompressResult, RlslpBuilder, RoundRecord,
+                        round_limit, round_record)
+from .slg import prune_slp
 
 
 def _enc(syms: np.ndarray) -> np.ndarray:
@@ -56,27 +59,6 @@ def _enc(syms: np.ndarray) -> np.ndarray:
 
 def _dec(entries: np.ndarray) -> np.ndarray:
     return np.where(entries >= -256, entries, -256 - entries)
-
-
-def _starts(flags: np.ndarray) -> np.ndarray:
-    """Positions where a new segment begins: the first one, and every
-    position whose flag differs from its predecessor's."""
-    change = np.empty(len(flags), dtype=bool)
-    change[:1] = True
-    np.not_equal(flags[1:], flags[:-1], out=change[1:])
-    return change.nonzero()[0]
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenation of the ranges starts[i] .. starts[i] + counts[i] - 1."""
-    ends = counts.cumsum()
-    total = int(ends[-1]) if len(ends) else 0
-    return (starts - ends + counts).repeat(counts) + np.arange(total)
-
-
-def _entries_of(ptr: np.ndarray, rules: np.ndarray) -> np.ndarray:
-    """Positions of the entries of the given 1-based rules, in order."""
-    return _ranges(ptr[rules - 1], ptr[rules] - ptr[rules - 1])
 
 
 def _heights(ptr: np.ndarray, ent: np.ndarray) -> np.ndarray:
@@ -105,27 +87,13 @@ def _heights(ptr: np.ndarray, ent: np.ndarray) -> np.ndarray:
     return height
 
 
-def _reachable(ptr: np.ndarray, ent: np.ndarray, root: int) -> np.ndarray:
-    """Mask of the rules reachable from root (slot 0 unused)."""
-    alive = np.zeros(len(ptr), dtype=bool)
-    alive[root] = True
-    frontier = np.array([root])
-    while len(frontier):
-        e = ent[_entries_of(ptr, frontier)]
-        e = np.sort(e[e > 0])
-        frontier = e[_starts(e)]
-        frontier = frontier[~alive[frontier]]
-        alive[frontier] = True
-    return alive
-
-
-def _layered(ptr: np.ndarray, ent: np.ndarray, rules: np.ndarray,
-             height: np.ndarray) -> "LevelGrammar":
-    """The given rules of the flat grammar (ptr, ent), in topological
-    order and closed under references, as a LevelGrammar: sorted by
-    height, renumbered from 1 in that order, and cut into layers."""
+def _layered(ptr: np.ndarray, ent: np.ndarray, height: np.ndarray
+             ) -> "LevelGrammar":
+    """The flat grammar (ptr, ent), in topological order and every rule
+    reachable from the last, as a LevelGrammar: sorted by height,
+    renumbered from 1 in that order, and cut into layers."""
     # a stable sort by height keeps the order topological
-    rules = rules[np.argsort(height[rules], kind="stable")]
+    rules = np.argsort(height[1:], kind="stable") + 1
     remap = np.zeros(len(ptr), dtype=np.int64)
     remap[rules] = np.arange(1, len(rules) + 1)
     ent = ent[_entries_of(ptr, rules)]
@@ -199,20 +167,17 @@ class LevelGrammar:
 
     @classmethod
     def from_slp(cls, g: Grammar) -> "LevelGrammar":
-        """Import a grammar, keeping only rules reachable from the start.
+        """Import a grammar through `prune_slp`, which keeps the rules
+        the start reaches and raises GrammarError for a grammar that
+        `validate` rejects, also in a rule the start does not reach.
 
-        A run rule Y^k becomes O(log k) binary rules by doubling; the
-        level string is the text either way.  Unreachable rules would
-        otherwise shed dead productions into the output and shift fresh
-        symbol ids away from what the reference engine assigns for the
-        same text.  A grammar that `validate` rejects, also for a rule
-        the start does not reach, and one whose text is longer than
-        2^63 - 1, which the int64 level lengths cannot hold, raise
-        GrammarError.
+        Dead rules would shed dead productions into the output and shift
+        fresh symbol ids away from the reference engine's.  A run rule
+        Y^k then becomes O(log k) binary rules by doubling, all of them
+        reachable.  A text longer than 2^63 - 1, which the int64 level
+        lengths cannot hold, raises GrammarError.
         """
-        report = validate(g)
-        if not report.ok:
-            raise GrammarError(f"rule {report.rule_index}: {report.message}")
+        g = prune_slp(g)
         m = len(g)
         ent, ptr = g.ent, g.ptr
         runs = np.flatnonzero(g.run)
@@ -234,8 +199,7 @@ class LevelGrammar:
             ent = np.concatenate((ent, np.array(extra, dtype=np.int64)))
             ptr = np.concatenate((ptr, ptr[-1] + np.arange(2, len(extra) + 1,
                                                            2)))
-        lg = _layered(ptr, ent, _reachable(ptr, ent, m).nonzero()[0],
-                      _heights(ptr, ent))
+        lg = _layered(ptr, ent, _heights(ptr, ent))
         # float lengths are close enough to clear all but near-limit
         # texts, which are summed again in Python integers
         if (lg._lengths(np.float64)[-1] >= 2.0 ** 62
@@ -335,12 +299,11 @@ def inline(lg: LevelGrammar) -> LevelGrammar:
     ent, spans = lg.expansions(kept, once[np.maximum(ent, 0)] & (ent > 0))
     # number the kept rules in id order, which is topological, to find
     # their heights
-    k = len(kept)
     remap = np.zeros(m + 1, dtype=np.int64)
-    remap[kept] = np.arange(1, k + 1)
+    remap[kept] = np.arange(1, len(kept) + 1)
     ent = np.where(ent > 0, remap[np.maximum(ent, 0)], ent)
     ptr = np.concatenate(([0], spans.cumsum()))
-    return _layered(ptr, ent, np.arange(1, k + 1), _heights(ptr, ent))
+    return _layered(ptr, ent, _heights(ptr, ent))
 
 
 def _crossed(lg: LevelGrammar, join: np.ndarray
@@ -611,7 +574,8 @@ def pcomp(lg: LevelGrammar, part: Partition, builder: RlslpBuilder
                     _pair_up, builder.add_pairs)
 
 
-def recompress(slp: Grammar, strategy: str = "mixed", seed: int = 42,
+def recompress(slp: Grammar, strategy: str = DEFAULT_STRATEGY,
+               seed: int = DEFAULT_SEED,
                source: PartitionSource | None = None,
                collect_trace: bool = False) -> RecompressResult:
     """Run-length grammar of the text a grammar expands to.

@@ -14,6 +14,9 @@ exponent), the exponent's 64 bits read unsigned.  Every stage hands
 these arrays on, and the SLGF codec writes and reads them in bulk.
 `Grammar.rules`, a list of `SeqRule`/`RunRule` objects, is built on
 first use, for the library API and the tests.
+
+`validate` and `_reachable` make up `slg.prune_slp`, the gate into the
+engine.  This module imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -184,19 +187,6 @@ class GrammarSize:
     productions: int
 
 
-def _check_symbol(sym: int, rule_index: int, alphabet_size: int) -> str | None:
-    if sym == 0:
-        return "symbol 0 is not valid"
-    if sym < 0:
-        byte = term_byte(sym)
-        if byte >= alphabet_size:
-            return f"terminal {sym} outside alphabet of size {alphabet_size}"
-        return None
-    if sym >= rule_index:
-        return f"reference to rule {sym} is not strictly earlier"
-    return None
-
-
 def validate(g: Grammar) -> ValidationReport:
     """Check ordering, rhs shape, exponents and terminal ranges.
 
@@ -220,13 +210,49 @@ def validate(g: Grammar) -> ValidationReport:
     a, b = int(ptr[i - 1]), int(ptr[i])
     if a == b:
         return ValidationReport(False, i, "empty rhs")
-    syms = ent[a:b].tolist()
-    if run[i - 1]:
-        if 0 <= syms[1] < 2:
-            return ValidationReport(False, i, f"run exponent {syms[1]} < 2")
-        syms = syms[:1]
-    problem = next(filter(None, (_check_symbol(s, i, sigma) for s in syms)))
+    if run[i - 1] and 0 <= ent[a + 1] < 2:
+        return ValidationReport(False, i, f"run exponent {ent[a + 1]} < 2")
+    sym = int(ent[a + int(wrong[a:b].argmax())])
+    if sym == 0:
+        return ValidationReport(False, i, "symbol 0 is not valid")
+    problem = (f"terminal {sym} outside alphabet of size {sigma}" if sym < 0
+               else f"reference to rule {sym} is not strictly earlier")
     return ValidationReport(False, i, problem)
+
+
+def _starts(flags: np.ndarray) -> np.ndarray:
+    """Positions where a new segment begins: the first one, and every
+    position whose flag differs from its predecessor's."""
+    change = np.empty(len(flags), dtype=bool)
+    change[:1] = True
+    np.not_equal(flags[1:], flags[:-1], out=change[1:])
+    return change.nonzero()[0]
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of the ranges starts[i] .. starts[i] + counts[i] - 1."""
+    ends = counts.cumsum()
+    total = int(ends[-1]) if len(ends) else 0
+    return (starts - ends + counts).repeat(counts) + np.arange(total)
+
+
+def _entries_of(ptr: np.ndarray, rules: np.ndarray) -> np.ndarray:
+    """Positions of the entries of the given 1-based rules, in order."""
+    return _ranges(ptr[rules - 1], ptr[rules] - ptr[rules - 1])
+
+
+def _reachable(ptr: np.ndarray, ent: np.ndarray, root: int) -> np.ndarray:
+    """Mask of the rules reachable from root (slot 0 unused)."""
+    alive = np.zeros(len(ptr), dtype=bool)
+    alive[root] = True
+    frontier = np.array([root])
+    while len(frontier):
+        e = ent[_entries_of(ptr, frontier)]
+        e = np.sort(e[e > 0])
+        frontier = e[_starts(e)]
+        frontier = frontier[~alive[frontier]]
+        alive[frontier] = True
+    return alive
 
 
 def expansion_lengths(g: Grammar) -> list[int]:

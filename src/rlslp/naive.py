@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .partition import (ConvergenceError, Laps, PairMaps, PartitionSource,
-                        RecompressResult, RlslpBuilder, RoundRecord,
-                        round_limit, round_record)
+from .partition import (DEFAULT_SEED, DEFAULT_STRATEGY, ConvergenceError,
+                        Laps, PairMaps, PartitionSource, RecompressResult,
+                        RlslpBuilder, RoundRecord, round_limit, round_record)
 
 
 def text_to_levels(text: bytes) -> np.ndarray:
@@ -101,7 +101,8 @@ def string_rounds(s: np.ndarray, round_no: int, builder: RlslpBuilder,
 
 
 def recompress_string(text: bytes, source: PartitionSource | None = None,
-                      strategy: str = "mixed", seed: int = 42,
+                      strategy: str = DEFAULT_STRATEGY,
+                      seed: int = DEFAULT_SEED,
                       collect_trace: bool = False) -> RecompressResult:
     """Run-length grammar for `text` by string-level recompression."""
     if len(text) == 0:

@@ -19,6 +19,8 @@ import numpy as np
 from .grammar import Grammar, Rule
 
 STRATEGIES = ("det", "rand", "mixed")
+DEFAULT_STRATEGY = "mixed"
+DEFAULT_SEED = 42
 
 
 class PartitionError(ValueError):
@@ -196,7 +198,8 @@ class PartitionSource:
     replayed into the other engine for lock-step comparison.
     """
 
-    def __init__(self, strategy: str = "mixed", seed: int = 42,
+    def __init__(self, strategy: str = DEFAULT_STRATEGY,
+                 seed: int = DEFAULT_SEED,
                  injected: list[Partition] | None = None) -> None:
         if injected is None and strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")

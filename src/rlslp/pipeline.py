@@ -36,8 +36,9 @@ from pathlib import Path
 
 from .engine import recompress
 from .grammar import Grammar, encode_grammar, grammar_size, iter_expansion
-from .lz import parse_bentley_mcilroy
-from .partition import STRATEGIES, RoundRecord
+from .lz import DEFAULT_BLOCK_SIZE, parse_bentley_mcilroy
+from .partition import (DEFAULT_SEED, DEFAULT_STRATEGY, STRATEGIES,
+                        RoundRecord)
 from .slg import lz_to_slg, prune_slp
 
 STAGE_NAMES = ("parse_bm", "lz_to_slg", "prune_slp", "recompress", "verify")
@@ -58,9 +59,9 @@ class PipelineConfig:
     output before it is written, and whether to record allocation peaks.
     """
 
-    block_size: int = 50
-    strategy: str = "mixed"
-    seed: int = 42
+    block_size: int = DEFAULT_BLOCK_SIZE
+    strategy: str = DEFAULT_STRATEGY
+    seed: int = DEFAULT_SEED
     verify: bool = False
     # allocation tracing makes the stages 6-10x slower, so it is off
     # unless asked for; off, peak_alloc reads as 0

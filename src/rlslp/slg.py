@@ -3,9 +3,9 @@
 lz_to_slg turns an LZ factorization into a straight-line grammar by
 keeping a height-balanced concatenation tree over the processed prefix;
 every phrase is materialized from O(log n) existing nodes, and only the
-rules reachable from the final root are emitted.  prune_slp keeps the
-rules the start reaches, and so has nothing to drop from lz_to_slg's
-output.
+rules reachable from the final root are emitted.  prune_slp validates a
+grammar and keeps the rules its start reaches, which is all of
+lz_to_slg's output; the engine admits every grammar through it.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .engine import _reachable
-from .grammar import (MAX_ALPHABET, Grammar, GrammarError, SeqRule, power,
-                      validate)
+from .grammar import (MAX_ALPHABET, Grammar, GrammarError, SeqRule,
+                      _reachable, power, validate)
 from .lz import Factorization, check_factorization
 
 # symbol x is stored at index x + _T of the builder's lists: terminals
@@ -373,7 +372,8 @@ def _live(g: Grammar) -> Grammar:
     renumbered from 1; g itself if that is every rule."""
     sym = g.symbol_mask()
     # a run's exponent is not a symbol: read it as 0
-    alive = _reachable(g.ptr, np.where(sym, g.ent, 0), len(g))
+    ent = np.where(sym, g.ent, 0) if g.run.any() else g.ent
+    alive = _reachable(g.ptr, ent, len(g))
     live = alive[1:]
     if live.all():
         return g

@@ -160,6 +160,16 @@ def test_arrays_agree_with_rule_objects(g):
 
 
 @settings(max_examples=200, deadline=None)
+@given(broken_grammars())
+def test_recompress_rejects_as_prune_does(g):
+    with pytest.raises(GrammarError) as pruned:
+        prune_slp(g)
+    with pytest.raises(GrammarError) as engine:
+        recompress(g)
+    assert str(engine.value) == str(pruned.value)
+
+
+@settings(max_examples=200, deadline=None)
 @given(grammars())
 def test_rules_view_round_trips(g):
     back = Grammar(g.rules, g.alphabet_size)

@@ -110,6 +110,57 @@ def test_from_slp_drops_unreachable_rules():
     assert lg.level_string().tolist() == [A, B, A]
 
 
+def with_dead_rules(g: Grammar, rng: random.Random) -> Grammar:
+    """g with one to five rules its start does not reach inserted at
+    random places before the start, the first a run rule of exponent
+    2^64 - 1."""
+    m = len(g)
+    at = sorted(rng.randrange(m) for _ in range(rng.randint(1, 5)))
+    rules: list = []
+    new = [0] * (m + 1)
+
+    def sym() -> int:
+        if rules and rng.random() < 0.5:
+            return rng.randint(1, len(rules))
+        return -rng.randint(1, 4)
+
+    def ref(s: int) -> int:
+        return s if s < 0 else new[s]
+
+    for i, rule in enumerate(g.rules, start=1):
+        for k in range(at.count(i - 1)):
+            first = k == 0 and at[0] == i - 1
+            rules.append(RunRule(sym(), 2**64 - 1) if first
+                         else SeqRule((sym(), sym())))
+        if isinstance(rule, RunRule):
+            rules.append(RunRule(ref(rule.base), rule.exponent))
+        else:
+            rules.append(SeqRule(tuple(map(ref, rule.rhs))))
+        new[i] = len(rules)
+    return Grammar(rules)
+
+
+def test_from_slp_prunes_before_doubling(monkeypatch):
+    import rlslp.engine
+    exponents = []
+
+    def power(join, x, q):
+        exponents.append(q)
+        return rlslp.grammar.power(join, x, q)
+
+    monkeypatch.setattr(rlslp.engine, "power", power)
+    rng = random.Random(523)
+    for _ in range(300):
+        g = with_dead_rules(random_rlslp(rng), rng)
+        assert len(prune_slp(g)) < len(g)
+        lg, ref = LevelGrammar.from_slp(g), LevelGrammar.from_slp(prune_slp(g))
+        assert np.array_equal(lg.ptr, ref.ptr)
+        assert np.array_equal(lg.ent, ref.ent)
+        assert lg.layers == ref.layers
+    # a dead run rule is dropped, never doubled
+    assert exponents and 2**64 - 1 not in exponents
+
+
 def test_from_slp_round_trips_a_deep_comb():
     # ref_slg_to_slp makes one long rule a left comb, one layer per symbol
     rng = random.Random(513)

@@ -447,6 +447,18 @@ def test_cli_rejects_oversized_expansions(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_lz_to_slg_rejects_an_empty_factorization(tmp_path, capsys):
+    # every command that reads .slgf rejects a grammar without rules
+    empty, lz = tmp_path / "empty.txt", tmp_path / "empty.lzpf"
+    empty.write_bytes(b"")
+    assert cli.main(["parse-bm", str(empty), str(lz)]) == 0
+    capsys.readouterr()
+    slg = tmp_path / "empty.slgf"
+    assert cli.main(["lz-to-slg", str(lz), str(slg)]) == 1
+    assert "error: [lz-to-slg]" in capsys.readouterr().err
+    assert not slg.exists()
+
+
 def test_cli_recompress_accepts_pipeline_output(tmp_path):
     inp, _ = _write_corpus(tmp_path, size=20000)
     first, again = tmp_path / "g.slgf", tmp_path / "again.slgf"
