@@ -87,11 +87,11 @@ def _heights(ptr: np.ndarray, ent: np.ndarray) -> np.ndarray:
     return height
 
 
-def _layered(ptr: np.ndarray, ent: np.ndarray, height: np.ndarray
-             ) -> "LevelGrammar":
+def _layered(ptr: np.ndarray, ent: np.ndarray) -> "LevelGrammar":
     """The flat grammar (ptr, ent), in topological order and every rule
-    reachable from the last, as a LevelGrammar: sorted by height,
-    renumbered from 1 in that order, and cut into layers."""
+    reachable from the last, as a LevelGrammar: sorted by the heights it
+    computes, renumbered from 1 in that order, and cut into layers."""
+    height = _heights(ptr, ent)
     # a stable sort by height keeps the order topological
     rules = np.argsort(height[1:], kind="stable") + 1
     remap = np.zeros(len(ptr), dtype=np.int64)
@@ -169,7 +169,9 @@ class LevelGrammar:
     def from_slp(cls, g: Grammar) -> "LevelGrammar":
         """Import a grammar through `prune_slp`, which keeps the rules
         the start reaches and raises GrammarError for a grammar that
-        `validate` rejects, also in a rule the start does not reach.
+        `validate` rejects, also in a rule the start does not reach;
+        one without rules raises GrammarError first.  This is the
+        engine's one admission gate.
 
         Dead rules would shed dead productions into the output and shift
         fresh symbol ids away from the reference engine's.  A run rule
@@ -177,6 +179,8 @@ class LevelGrammar:
         reachable.  A text longer than 2^63 - 1, which the int64 level
         lengths cannot hold, raises GrammarError.
         """
+        if not len(g):
+            raise GrammarError("cannot recompress an empty grammar")
         g = prune_slp(g)
         m = len(g)
         ent, ptr = g.ent, g.ptr
@@ -199,7 +203,7 @@ class LevelGrammar:
             ent = np.concatenate((ent, np.array(extra, dtype=np.int64)))
             ptr = np.concatenate((ptr, ptr[-1] + np.arange(2, len(extra) + 1,
                                                            2)))
-        lg = _layered(ptr, ent, _heights(ptr, ent))
+        lg = _layered(ptr, ent)
         # float lengths are close enough to clear all but near-limit
         # texts, which are summed again in Python integers
         if (lg._lengths(np.float64)[-1] >= 2.0 ** 62
@@ -297,13 +301,13 @@ def inline(lg: LevelGrammar) -> LevelGrammar:
         return lg
     kept = (~once[1:]).nonzero()[0] + 1
     ent, spans = lg.expansions(kept, once[np.maximum(ent, 0)] & (ent > 0))
-    # number the kept rules in id order, which is topological, to find
-    # their heights
+    # number the kept rules in id order, which is topological, as
+    # `_layered` needs
     remap = np.zeros(m + 1, dtype=np.int64)
     remap[kept] = np.arange(1, len(kept) + 1)
     ent = np.where(ent > 0, remap[np.maximum(ent, 0)], ent)
     ptr = np.concatenate(([0], spans.cumsum()))
-    return _layered(ptr, ent, _heights(ptr, ent))
+    return _layered(ptr, ent)
 
 
 def _crossed(lg: LevelGrammar, join: np.ndarray
@@ -578,15 +582,15 @@ def recompress(slp: Grammar, strategy: str = DEFAULT_STRATEGY,
                seed: int = DEFAULT_SEED,
                source: PartitionSource | None = None,
                collect_trace: bool = False) -> RecompressResult:
-    """Run-length grammar of the text a grammar expands to.
+    """Run-length grammar of the text a grammar expands to, with
+    `naive.recompress_string`'s parameters; `LevelGrammar.from_slp`
+    admits the grammar or raises GrammarError.
 
     Alternates run and pair replacement on the working grammar while
     its level string is longer than the grammar, then on the level
     string itself until that is a single symbol; that symbol, wrapped
     if needed, becomes the start of the accumulated output grammar.
     """
-    if not len(slp):
-        raise GrammarError("cannot recompress an empty grammar")
     lg = inline(LevelGrammar.from_slp(slp))
     lengths, size = lg.level_lengths()
     length = int(lengths[-1])
@@ -623,7 +627,5 @@ def recompress(slp: Grammar, strategy: str = DEFAULT_STRATEGY,
         round_no += 1
     s = lg.level_string()
     del lg, lengths  # free the grammar for the string rounds
-    final = string_rounds(s, round_no, builder, source, records, trace,
-                          limit)
-    return RecompressResult(builder.finish(final), records, source.log,
-                            trace)
+    return string_rounds(s, round_no, builder, source, records, trace,
+                         limit)

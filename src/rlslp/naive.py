@@ -67,10 +67,11 @@ def pcomp_string(s: np.ndarray, part, builder: RlslpBuilder) -> np.ndarray:
 
 def string_rounds(s: np.ndarray, round_no: int, builder: RlslpBuilder,
                   source: PartitionSource, records: list[RoundRecord],
-                  trace: list | None, limit: int) -> int:
+                  trace: list | None, limit: int) -> RecompressResult:
     """Run recompression rounds on level string s, starting at round
     round_no (even: run replacement, odd: pair replacement), until one
-    symbol is left; return that symbol.
+    symbol is left; return the whole recompression's result, with the
+    builder's grammar closed on that symbol.
 
     Each round appends its RoundRecord to records, and its level string
     to trace unless that is None.  round_no and limit count the rounds
@@ -97,12 +98,13 @@ def string_rounds(s: np.ndarray, round_no: int, builder: RlslpBuilder,
         if trace is not None:
             trace.append(s.copy())
         round_no += 1
-    return int(s[0])
+    return RecompressResult(builder.finish(int(s[0])), records, source.log,
+                            trace)
 
 
-def recompress_string(text: bytes, source: PartitionSource | None = None,
-                      strategy: str = DEFAULT_STRATEGY,
+def recompress_string(text: bytes, strategy: str = DEFAULT_STRATEGY,
                       seed: int = DEFAULT_SEED,
+                      source: PartitionSource | None = None,
                       collect_trace: bool = False) -> RecompressResult:
     """Run-length grammar for `text` by string-level recompression."""
     if len(text) == 0:
@@ -112,7 +114,5 @@ def recompress_string(text: bytes, source: PartitionSource | None = None,
     builder = RlslpBuilder()
     records: list[RoundRecord] = []
     trace: list[np.ndarray] | None = [] if collect_trace else None
-    final = string_rounds(text_to_levels(text), 0, builder, source, records,
-                          trace, round_limit(len(text)))
-    return RecompressResult(builder.finish(final), records, source.log,
-                            trace)
+    return string_rounds(text_to_levels(text), 0, builder, source, records,
+                         trace, round_limit(len(text)))

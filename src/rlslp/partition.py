@@ -120,13 +120,6 @@ class Partition:
         return table[np.minimum(symbol_ranks(syms), len(table) - 1)]
 
 
-def replaced_weight(pairs: PairMaps, part: Partition) -> int:
-    """Total weight of the pairs a replacement pass will consume."""
-    crossing = ((part.sides_of(pairs.first) == 1)
-                & (part.sides_of(pairs.second) == -1))
-    return int(pairs.weight[crossing].sum())
-
-
 def _rank_order(alphabet) -> np.ndarray:
     """The alphabet, an int64 array or a collection of ints, as an int64
     array sorted by symbol_rank."""

@@ -1,7 +1,8 @@
 """Rule-object reference versions of the grammar codec, validation,
 expansion and pruning, the per-phrase factorization checks, the
 dict-building partition strategies, and the engine's inlining of
-single-use rules; and a left-comb binarization that tests use to build
+single-use rules; the weight a partition replaces, the oracle of the
+quarter guarantee; and a left-comb binarization that tests use to build
 deep grammars.
 
 These walk `Grammar.rules` one `SeqRule`/`RunRule` at a time, the
@@ -22,7 +23,7 @@ from rlslp.grammar import (MAX_ALPHABET, MAX_EXPANSION, SLG_MAGIC,
                            SLG_VERSION, FormatError, Grammar, GrammarError,
                            RunRule, SeqRule, ValidationReport, term_byte)
 from rlslp.lz import Factorization, ParseError
-from rlslp.partition import PairMaps, Partition, symbol_ranks
+from rlslp.partition import PairMaps, Partition, symbol_rank, symbol_ranks
 
 _HEADER = struct.Struct("<4sBQQ")
 _U64 = struct.Struct("<Q")
@@ -225,52 +226,47 @@ def _rank_order(alphabet) -> np.ndarray:
     return syms[np.argsort(symbol_ranks(syms), kind="stable")]
 
 
+def replaced_weight(pairs: PairMaps, part: Partition) -> int:
+    """Total weight of the pairs a replacement pass will consume."""
+    crossing = ((part.sides_of(pairs.first) == 1)
+                & (part.sides_of(pairs.second) == -1))
+    return int(pairs.weight[crossing].sum())
+
+
 def ref_deterministic_partition(pairs: PairMaps, alphabet) -> Partition:
     """Greedy split maximizing crossing weight, then oriented the better
-    way round.  Replaced weight is at least a quarter of the total.
+    way round, one symbol at a time over a dict of neighbour weights.
+    Replaced weight is at least a quarter of the total.
 
     Symbols are placed in rank order, each opposite the heavier side of
-    its already placed neighbors; ties go left.
+    its already placed neighbours; ties go left.  The split is flipped
+    when the weight of the pairs it takes left to right is below that of
+    the pairs right to left.
     """
-    syms = _rank_order(alphabet)
-    count = len(syms)
-    if count == 0:
-        return Partition({})
-    ranks = symbol_ranks(syms)
-
-    def position(side: np.ndarray) -> np.ndarray:
-        # place in rank order; -1 outside the alphabet (never placed)
-        r = symbol_ranks(side)
-        at = np.minimum(np.searchsorted(ranks, r), count - 1)
-        return np.where(ranks[at] == r, at, -1)
-
-    ia, ib = position(pairs.first), position(pairs.second)
-    edge = (ia >= 0) & (ib >= 0) & (ia != ib)
-    # each edge weighs on the later-placed end, from the earlier one
-    later = np.maximum(ia, ib)[edge]
-    order = np.argsort(later, kind="stable")
-    ptr = np.searchsorted(later[order], np.arange(count + 1)).tolist()
-    earlier = np.minimum(ia, ib)[edge][order].tolist()
-    weights = pairs.weight[edge][order].tolist()
-    left = [True] * count
-    for i in range(count):
-        lo, hi = ptr[i], ptr[i + 1]
-        if lo == hi:
-            continue
+    syms = sorted((int(s) for s in alphabet), key=symbol_rank)
+    near: dict[int, dict[int, int]] = {s: {} for s in syms}
+    for (a, b), w in pairs.oriented_items():
+        if a != b and a in near and b in near:
+            near[a][b] = near[a].get(b, 0) + w
+            near[b][a] = near[b].get(a, 0) + w
+    left: dict[int, bool] = {}
+    for s in syms:
         balance = 0
-        for j, w in zip(earlier[lo:hi], weights[lo:hi]):
-            balance += w if left[j] else -w
-        if balance > 0:
-            left[i] = False
-    side = np.array(left, dtype=bool)
-    placed = (ia >= 0) & (ib >= 0)
-    la, lb = side[ia[placed]], side[ib[placed]]
-    w = pairs.weight[placed]
-    forward = int(w[la & ~lb].sum())
-    backward = int(w[~la & lb].sum())
+        for t, w in near[s].items():
+            if t in left:
+                balance += w if left[t] else -w
+        # opposite the heavier side; a tie goes left
+        left[s] = balance <= 0
+    forward = backward = 0
+    for (a, b), w in pairs.oriented_items():
+        if a in left and b in left:
+            if left[a] and not left[b]:
+                forward += w
+            elif left[b] and not left[a]:
+                backward += w
     if forward < backward:
-        left = [not x for x in left]
-    return Partition(dict(zip(syms.tolist(), left)))
+        left = {s: not x for s, x in left.items()}
+    return Partition(left)
 
 
 def ref_randomized_partition(alphabet, rng: random.Random) -> Partition:

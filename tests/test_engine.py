@@ -5,6 +5,7 @@ grammar engine must produce the same level strings, the same telemetry,
 and the same output rules when fed the same partitions.
 """
 
+import inspect
 import random
 
 import numpy as np
@@ -26,10 +27,10 @@ from rlslp.naive import (bcomp_string, pair_stats_string, pcomp_string,
                          recompress_string, text_to_levels)
 from rlslp.partition import (STRATEGIES, ConvergenceError, Partition,
                              PartitionSource, RlslpBuilder,
-                             randomized_partition, replaced_weight)
+                             randomized_partition)
 from rlslp.pipeline import PipelineConfig, run_pipeline
 from rlslp.slg import lz_to_slg, prune_slp
-from reference import ref_inline, ref_slg_to_slp
+from reference import ref_inline, ref_slg_to_slp, replaced_weight
 
 
 def term(ch: str) -> int:
@@ -800,3 +801,29 @@ def test_engine_equality_property(t, seed):
     rg = recompress(slp_of(t), strategy="mixed", seed=seed)
     assert rg.grammar.rules == rs.grammar.rules
     assert expand(rg.grammar) == t
+
+
+def test_engines_share_one_entry_contract():
+    # one signature: after the input, the same parameter names, order
+    # and defaults
+    def params(engine):
+        return [(p.name, p.kind, p.default) for p in
+                list(inspect.signature(engine).parameters.values())[1:]]
+
+    assert params(recompress) == params(recompress_string)
+    t = mutated_text(random.Random(24), base_len=300, total_len=3000)
+    for engine, arg in ((recompress_string, t), (recompress, slp_of(t))):
+        for strategy, seed in (("det", 5), ("rand", 5), ("mixed", 7)):
+            a = engine(arg, strategy, seed)
+            b = engine(arg, strategy=strategy, seed=seed)
+            assert a.grammar.rules == b.grammar.rules
+            assert [p.sides for p in a.partitions] == \
+                [p.sides for p in b.partitions]
+    # one admission gate: the import refuses the empty grammar with the
+    # error recompress raises for it
+    with pytest.raises(GrammarError) as gate:
+        LevelGrammar.from_slp(Grammar())
+    with pytest.raises(GrammarError) as entry:
+        recompress(Grammar())
+    assert str(gate.value) == str(entry.value) == \
+        "cannot recompress an empty grammar"

@@ -298,6 +298,24 @@ def test_bm_matches_reference_across_chunks_property(t, block_size, blocks):
             reference_parse(t, block_size)
 
 
+def test_bm_fingerprint_collision_parses_as_the_reference():
+    # 256 = 2^8, so byte k of a B-byte block sits at bit 8(B-1-k) mod 61
+    # of its fingerprint: with B = 50, byte 42 sits one bit above byte 4,
+    # and -4 at byte 4 with +2 at byte 42 leaves the fingerprint as it is
+    b1 = b"A" * 50
+    b2 = bytearray(b1)
+    b2[4], b2[42] = ord("="), ord("C")
+    b2 = bytes(b2)
+    fps = lz._block_fingerprints(b1 + b2, 50)
+    assert b1 != b2 and fps[0] == fps[1]
+    # b1 keeps the table slot, so the stride block b2 never wins it and
+    # the later copy of b2 finds only b1 there
+    t = b1 + b2 + b2
+    fz = parse_bentley_mcilroy(t, 50)
+    assert phrases(fz) == reference_parse(t, 50)
+    assert decode_factorization(fz) == t
+
+
 @pytest.fixture(scope="module")
 def acceptance_corpus():
     return gen_dataset(load_sample(), 4 << 20, mutation_rate=1e-5, seed=21)

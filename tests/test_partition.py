@@ -9,14 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import ref_deterministic_partition, ref_randomized_partition
+from reference import (ref_deterministic_partition, ref_randomized_partition,
+                       replaced_weight)
 from rlslp.grammar import RunRule, SeqRule
 from rlslp.naive import recompress_string
 from rlslp.partition import (PairMaps, Partition, PartitionError,
                              PartitionSource, RlslpBuilder,
                              RoundRecord, deterministic_partition,
-                             randomized_partition, replaced_weight,
-                             round_limit, symbol_rank)
+                             randomized_partition, round_limit, symbol_rank)
 from rlslp.pipeline import StatsReport
 
 A, B, C = -97, -98, -99  # terminals a, b, c
