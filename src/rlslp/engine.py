@@ -70,7 +70,8 @@ def _heights(ptr: np.ndarray, ent: np.ndarray) -> np.ndarray:
     kid = ent > 0
     child, parent = ent[kid], row[kid]
     waiting = np.bincount(parent, minlength=m + 1)
-    parents = parent[np.argsort(child, kind="stable")]
+    # each settled group is sorted below, so the order of ties is moot
+    parents = parent[np.argsort(child)]
     first = np.concatenate(([0], np.cumsum(np.bincount(child,
                                                        minlength=m + 1))))
     height = np.zeros(m + 1, dtype=np.int64)
@@ -92,8 +93,18 @@ def _layered(ptr: np.ndarray, ent: np.ndarray) -> "LevelGrammar":
     reachable from the last, as a LevelGrammar: sorted by the heights it
     computes, renumbered from 1 in that order, and cut into layers."""
     height = _heights(ptr, ent)
-    # a stable sort by height keeps the order topological
-    rules = np.argsort(height[1:], kind="stable") + 1
+    # by height, ties by id, keeps the order topological; a packed key
+    # height * (m + 1) + id holds both while it fits in int64, and its
+    # remainder by m + 1 is the id
+    m = len(ptr) - 1
+    if m * (m + 1) < 1 << 63:
+        rules = height[1:] * (m + 1)
+        rules += np.arange(1, m + 1)
+        rules.sort()
+        rules %= m + 1
+    else:
+        # stable: ties in height must stay in id order
+        rules = np.argsort(height[1:], kind="stable") + 1
     remap = np.zeros(len(ptr), dtype=np.int64)
     remap[rules] = np.arange(1, len(rules) + 1)
     ent = ent[_entries_of(ptr, rules)]
@@ -264,7 +275,8 @@ class LevelGrammar:
 
         def place(rules: np.ndarray, at: np.ndarray) -> None:
             lay = np.searchsorted(layers, rules) - 1
-            order = np.argsort(lay, kind="stable")
+            # every entry is written to its own position, in any order
+            order = np.argsort(lay)
             rules, at, lay = rules[order], at[order], lay[order]
             cut = _starts(lay).tolist() + [len(lay)]
             for a, b in zip(cut[:-1], cut[1:]):
@@ -516,7 +528,7 @@ def compute_nocc(lg: LevelGrammar) -> np.ndarray:
 def collect_pair_frequencies(lg: LevelGrammar, occ: np.ndarray
                              ) -> tuple[PairMaps, np.ndarray]:
     """Weighted boundary pairs of all reachable rules, and the alphabet
-    in symbol_rank order.
+    in rank order (`symbol_ranks`).
 
     Every adjacent position of the level string crosses exactly one rule
     boundary (at the lowest rule spanning it), so summing boundary pairs
@@ -529,7 +541,7 @@ def collect_pair_frequencies(lg: LevelGrammar, occ: np.ndarray
     inner = (weight[:-1] > 0) & (row[1:] == row[:-1])
     maps = PairMaps()
     maps.add_arrays(last[:-1][inner], first[1:][inner], weight[:-1][inner])
-    # an encoded level symbol's symbol_rank is -entry
+    # an encoded level symbol's rank is -entry
     ranks = np.bincount(-ent[(ent < 0) & (weight > 0)]).nonzero()[0]
     return maps, _dec(-ranks)
 

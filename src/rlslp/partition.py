@@ -31,14 +31,10 @@ class ConvergenceError(RuntimeError):
     """Raised when recompression exceeds its phase limit."""
 
 
-def symbol_rank(sym: int) -> int:
-    """Total order over level symbols: terminals first by byte value,
-    then grammar symbols by rule index."""
-    return -sym if sym < 0 else 256 + sym
-
-
 def symbol_ranks(syms: np.ndarray) -> np.ndarray:
-    """symbol_rank of every element of an int64 array."""
+    """Rank of every element of an int64 array of level symbols, in the
+    total order over them: terminals first by byte value, then grammar
+    symbols by rule index."""
     return np.where(syms < 0, -syms, 256 + syms)
 
 
@@ -75,19 +71,14 @@ class PairMaps:
         self.first, self.second = first[at], second[at]
         self.weight = np.add.reduceat(weight[order], starts)
 
-    def oriented_items(self):
-        """Yield ((a, b), weight) in original text orientation."""
-        yield from zip(zip(self.first.tolist(), self.second.tolist()),
-                       self.weight.tolist())
-
     def total_weight(self) -> int:
         return int(self.weight.sum())
 
 
 class Partition:
     """Two-sided split of the level alphabet: its symbols `syms` (int64,
-    in symbol_rank order) and whether each goes `left`.  `sides` is the
-    same split as a dict, built on each use."""
+    in rank order) and whether each goes `left`, built from a dict of
+    symbol to side."""
 
     def __init__(self, sides: dict[int, bool]) -> None:
         syms = np.fromiter(sides, dtype=np.int64, count=len(sides))
@@ -96,7 +87,8 @@ class Partition:
             raise PartitionError(
                 f"partition key {int(bad[0])} is not a level symbol")
         left = np.fromiter(sides.values(), dtype=bool, count=len(sides))
-        order = np.argsort(symbol_ranks(syms), kind="stable")
+        # the keys are distinct, so no tie's order is left to keep
+        order = np.argsort(symbol_ranks(syms))
         self.syms, self.left = syms[order], left[order]
 
     @classmethod
@@ -105,10 +97,6 @@ class Partition:
         part = cls.__new__(cls)
         part.syms, part.left = syms, left
         return part
-
-    @property
-    def sides(self) -> dict[int, bool]:
-        return dict(zip(self.syms.tolist(), self.left.tolist()))
 
     def sides_of(self, syms: np.ndarray) -> np.ndarray:
         """Side of every level symbol in syms: 1 left, -1 right, 0 for
@@ -122,10 +110,11 @@ class Partition:
 
 def _rank_order(alphabet) -> np.ndarray:
     """The alphabet, an int64 array or a collection of ints, as an int64
-    array sorted by symbol_rank."""
+    array sorted by rank (`symbol_ranks`)."""
     if not isinstance(alphabet, np.ndarray):
         alphabet = np.array(list(alphabet), dtype=np.int64)
-    return alphabet[np.argsort(symbol_ranks(alphabet), kind="stable")]
+    # equal ranks are equal symbols, so no tie's order shows
+    return alphabet[np.argsort(symbol_ranks(alphabet))]
 
 
 def deterministic_partition(pairs: PairMaps, alphabet) -> Partition:
@@ -151,7 +140,8 @@ def deterministic_partition(pairs: PairMaps, alphabet) -> Partition:
     edge = (ia >= 0) & (ib >= 0) & (ia != ib)
     # each edge weighs on the later-placed end, from the earlier one
     later = np.maximum(ia, ib)[edge]
-    order = np.argsort(later, kind="stable")
+    # a symbol's balance is an integer sum, the same in any order
+    order = np.argsort(later)
     ptr = np.searchsorted(later[order], np.arange(count + 1)).tolist()
     earlier = np.minimum(ia, ib)[edge][order].tolist()
     weights = pairs.weight[edge][order].tolist()

@@ -184,6 +184,7 @@ class _Builder:
             cnt = half
         # per run, smallest block first: each larger one joins on the left
         runs = np.concatenate(runs)
+        # stable: a run's blocks were listed smallest first, and must stay so
         order = np.argsort(runs, kind="stable")
         trees = [0] * len(counts)
         for r, x in zip(runs[order].tolist(),

@@ -2,8 +2,9 @@
 expansion and pruning, the per-phrase factorization checks, the
 dict-building partition strategies, and the engine's inlining of
 single-use rules; the weight a partition replaces, the oracle of the
-quarter guarantee; and a left-comb binarization that tests use to build
-deep grammars.
+quarter guarantee; the scalar symbol rank and the dict views of pair
+counts and partitions that only tests read; and a left-comb
+binarization that tests use to build deep grammars.
 
 These walk `Grammar.rules` one `SeqRule`/`RunRule` at a time, the
 phrases one at a time, and the alphabet one symbol at a time, as the
@@ -23,7 +24,7 @@ from rlslp.grammar import (MAX_ALPHABET, MAX_EXPANSION, SLG_MAGIC,
                            SLG_VERSION, FormatError, Grammar, GrammarError,
                            RunRule, SeqRule, ValidationReport, term_byte)
 from rlslp.lz import Factorization, ParseError
-from rlslp.partition import PairMaps, Partition, symbol_rank, symbol_ranks
+from rlslp.partition import PairMaps, Partition, symbol_ranks
 
 _HEADER = struct.Struct("<4sBQQ")
 _U64 = struct.Struct("<Q")
@@ -220,6 +221,23 @@ def ref_check_factorization(fz: Factorization) -> None:
         raise ParseError(f"text of {total} bytes exceeds 2^63-1")
 
 
+def symbol_rank(sym: int) -> int:
+    """Total order over level symbols: terminals first by byte value,
+    then grammar symbols by rule index."""
+    return -sym if sym < 0 else 256 + sym
+
+
+def oriented_items(pairs: PairMaps):
+    """Yield ((a, b), weight) in original text orientation."""
+    yield from zip(zip(pairs.first.tolist(), pairs.second.tolist()),
+                   pairs.weight.tolist())
+
+
+def sides(part: Partition) -> dict[int, bool]:
+    """The split as a dict of symbol to side, True for left."""
+    return dict(zip(part.syms.tolist(), part.left.tolist()))
+
+
 def _rank_order(alphabet) -> np.ndarray:
     """The alphabet as an int64 array sorted by symbol_rank."""
     syms = np.fromiter(alphabet, dtype=np.int64)
@@ -245,7 +263,7 @@ def ref_deterministic_partition(pairs: PairMaps, alphabet) -> Partition:
     """
     syms = sorted((int(s) for s in alphabet), key=symbol_rank)
     near: dict[int, dict[int, int]] = {s: {} for s in syms}
-    for (a, b), w in pairs.oriented_items():
+    for (a, b), w in oriented_items(pairs):
         if a != b and a in near and b in near:
             near[a][b] = near[a].get(b, 0) + w
             near[b][a] = near[b].get(a, 0) + w
@@ -258,7 +276,7 @@ def ref_deterministic_partition(pairs: PairMaps, alphabet) -> Partition:
         # opposite the heavier side; a tie goes left
         left[s] = balance <= 0
     forward = backward = 0
-    for (a, b), w in pairs.oriented_items():
+    for (a, b), w in oriented_items(pairs):
         if a in left and b in left:
             if left[a] and not left[b]:
                 forward += w

@@ -30,7 +30,8 @@ from rlslp.partition import (STRATEGIES, ConvergenceError, Partition,
                              randomized_partition)
 from rlslp.pipeline import PipelineConfig, run_pipeline
 from rlslp.slg import lz_to_slg, prune_slp
-from reference import ref_inline, ref_slg_to_slp, replaced_weight
+from reference import (oriented_items, ref_inline, ref_slg_to_slp,
+                       replaced_weight, sides)
 
 
 def term(ch: str) -> int:
@@ -450,8 +451,8 @@ def test_layered_sweeps_match_string_engine_on_unbalanced_grammars():
         pairs, alphabet = collect_pair_frequencies(lg, compute_nocc(lg))
         want_pairs, want_alphabet = pair_stats_string(s)
         assert set(alphabet) == set(want_alphabet)
-        assert dict(pairs.oriented_items()) == dict(
-            want_pairs.oriented_items())
+        assert dict(oriented_items(pairs)) == dict(
+            oriented_items(want_pairs))
         part = randomized_partition(alphabet, random.Random(rng.random()))
         out = pcomp(lg, part, bg)
         assert out.level_string().tolist() == pcomp_string(
@@ -513,7 +514,7 @@ def test_pair_frequencies_frozen():
     lg = LevelGrammar.from_slp(g)
     maps, alphabet = collect_pair_frequencies(lg, compute_nocc(lg))
     assert set(alphabet) == {A, B}
-    assert dict(maps.oriented_items()) == {(A, B): 2, (B, A): 1}
+    assert dict(oriented_items(maps)) == {(A, B): 2, (B, A): 1}
 
 
 def test_pair_frequencies_match_level_string():
@@ -527,7 +528,7 @@ def test_pair_frequencies_match_level_string():
         s = lg.level_string()
         want_maps, want_alpha = pair_stats_string(s)
         assert set(alphabet) == set(want_alpha)
-        assert dict(maps.oriented_items()) == dict(want_maps.oriented_items())
+        assert dict(oriented_items(maps)) == dict(oriented_items(want_maps))
         assert maps.total_weight() == len(s) - 1
 
 
@@ -657,6 +658,23 @@ def test_recompress_hands_over_where_string_fits_grammar():
     assert all(r.level_lengths_s > 0 for r in records[:on_grammar])
     assert all(r.work_size == r.length_after and r.level_lengths_s == 0
                for r in records[on_grammar:])
+
+
+def test_engine_work_tracks_the_grammar_not_the_text():
+    # the paper's central claim, on deterministic counts: two texts 16x
+    # apart with the same expected mutation count.  256 KiB gives 25,803
+    # rules and a summed work of 521,506; 4 MiB gives 41,888 and
+    # 1,325,953, so 1.6x the rules and 2.5x the work.  Work that tracked
+    # the text would grow 16x.
+    def counts(size: int) -> tuple[int, int]:
+        text = gen_dataset(load_sample(), size, 1e-4 * (16 << 20) / size, 31)
+        g = lz_to_slg(parse_bentley_mcilroy(text, 50))
+        return len(g), sum(r.work_size for r in recompress(g).records)
+
+    small_rules, small_work = counts(256 << 10)
+    big_rules, big_work = counts(4 << 20)
+    assert big_rules < 4 * small_rules
+    assert big_work < 4 * small_work
 
 
 def test_rules_stay_shared_on_the_acceptance_corpus():
@@ -817,8 +835,8 @@ def test_engines_share_one_entry_contract():
             a = engine(arg, strategy, seed)
             b = engine(arg, strategy=strategy, seed=seed)
             assert a.grammar.rules == b.grammar.rules
-            assert [p.sides for p in a.partitions] == \
-                [p.sides for p in b.partitions]
+            assert [sides(p) for p in a.partitions] == \
+                [sides(p) for p in b.partitions]
     # one admission gate: the import refuses the empty grammar with the
     # error recompress raises for it
     with pytest.raises(GrammarError) as gate:

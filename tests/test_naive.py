@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mutated_text, random_text
+from reference import oriented_items
 from rlslp.grammar import RunRule, SeqRule, expand, validate
 from rlslp.naive import (bcomp_string, pair_stats_string, pcomp_string,
                          recompress_string, text_to_levels)
@@ -72,7 +73,7 @@ def test_pair_stats_counts_and_alphabet():
     s = text_to_levels(b"abab")
     maps, alphabet = pair_stats_string(s)
     assert set(alphabet) == {term("a"), term("b")}
-    assert dict(maps.oriented_items()) == {
+    assert dict(oriented_items(maps)) == {
         (term("a"), term("b")): 2, (term("b"), term("a")): 1}
     assert maps.total_weight() == 3
 

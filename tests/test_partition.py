@@ -9,14 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import (ref_deterministic_partition, ref_randomized_partition,
-                       replaced_weight)
+from reference import (oriented_items, ref_deterministic_partition,
+                       ref_randomized_partition, replaced_weight, sides,
+                       symbol_rank)
 from rlslp.grammar import RunRule, SeqRule
 from rlslp.naive import recompress_string
 from rlslp.partition import (PairMaps, Partition, PartitionError,
                              PartitionSource, RlslpBuilder,
                              RoundRecord, deterministic_partition,
-                             randomized_partition, round_limit, symbol_rank)
+                             randomized_partition, round_limit)
 from rlslp.pipeline import StatsReport
 
 A, B, C = -97, -98, -99  # terminals a, b, c
@@ -38,7 +39,7 @@ def test_symbol_rank_orders_terminals_before_rules():
 
 def test_pair_maps_recover_orientation():
     pm = pair_maps([(A, B, 3), (B, A, 5), (A, C, 2)])
-    assert dict(pm.oriented_items()) == {(A, B): 3, (B, A): 5, (A, C): 2}
+    assert dict(oriented_items(pm)) == {(A, B): 3, (B, A): 5, (A, C): 2}
     assert pm.total_weight() == 10
 
 
@@ -75,7 +76,7 @@ def test_quarter_guarantee_random_instances():
         pm = pair_maps([(*rng.sample(syms, 2), rng.randint(1, 50))
                         for _ in range(rng.randint(1, 30))])
         part = deterministic_partition(pm, syms)
-        assert set(part.sides) == set(syms)
+        assert set(sides(part)) == set(syms)
         assert replaced_weight(pm, part) * 4 >= pm.total_weight()
         best = _exhaustive_best(pm, syms)
         assert replaced_weight(pm, part) <= best
@@ -100,9 +101,9 @@ def test_randomized_partition_is_seed_stable():
     p1 = randomized_partition(syms, random.Random(7))
     p2 = randomized_partition(syms, random.Random(7))
     p3 = randomized_partition(syms, random.Random(8))
-    assert p1.sides == p2.sides
-    assert set(p1.sides) == set(syms)
-    assert p1.sides != p3.sides
+    assert sides(p1) == sides(p2)
+    assert set(sides(p1)) == set(syms)
+    assert sides(p1) != sides(p3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,10 +125,10 @@ def test_partitions_match_reference(size, terminal_share, form, seed):
     alphabet = {"list": syms, "set": set(syms),
                 "array": np.array(syms, dtype=np.int64)}[form]
     got = deterministic_partition(pm, alphabet)
-    assert got.sides == ref_deterministic_partition(pm, alphabet).sides
+    assert sides(got) == sides(ref_deterministic_partition(pm, alphabet))
     ours, theirs = random.Random(seed), random.Random(seed)
     got = randomized_partition(alphabet, ours)
-    assert got.sides == ref_randomized_partition(alphabet, theirs).sides
+    assert sides(got) == sides(ref_randomized_partition(alphabet, theirs))
     assert ours.getstate() == theirs.getstate()
 
 
@@ -150,11 +151,11 @@ def test_mixed_strategy_alternates():
     src = PartitionSource(strategy="mixed", seed=11)
     first = src.next_partition(pm, syms)
     second = src.next_partition(pm, syms)
-    assert first.sides == deterministic_partition(pm, syms).sides
-    assert second.sides == randomized_partition(syms,
-                                                random.Random(11)).sides
+    assert sides(first) == sides(deterministic_partition(pm, syms))
+    assert sides(second) == sides(randomized_partition(syms,
+                                                      random.Random(11)))
     assert src.pcomp_rounds == 2
-    assert [p.sides for p in src.log] == [first.sides, second.sides]
+    assert [sides(p) for p in src.log] == [sides(first), sides(second)]
 
 
 def test_make_partition_rejects_unknown_strategy():
@@ -166,8 +167,8 @@ def test_injected_partitions_replay_then_exhaust():
     parts = [Partition({A: True, B: False}), Partition({A: False, B: True})]
     src = PartitionSource(injected=parts)
     pm = pair_maps([(A, B, 1)])
-    assert src.next_partition(pm, [A, B]).sides == parts[0].sides
-    assert src.next_partition(pm, [A, B]).sides == parts[1].sides
+    assert sides(src.next_partition(pm, [A, B])) == sides(parts[0])
+    assert sides(src.next_partition(pm, [A, B])) == sides(parts[1])
     with pytest.raises(PartitionError):
         src.next_partition(pm, [A, B])
     assert src.log == parts
