@@ -93,18 +93,9 @@ def _layered(ptr: np.ndarray, ent: np.ndarray) -> "LevelGrammar":
     reachable from the last, as a LevelGrammar: sorted by the heights it
     computes, renumbered from 1 in that order, and cut into layers."""
     height = _heights(ptr, ent)
-    # by height, ties by id, keeps the order topological; a packed key
-    # height * (m + 1) + id holds both while it fits in int64, and its
-    # remainder by m + 1 is the id
-    m = len(ptr) - 1
-    if m * (m + 1) < 1 << 63:
-        rules = height[1:] * (m + 1)
-        rules += np.arange(1, m + 1)
-        rules.sort()
-        rules %= m + 1
-    else:
-        # stable: ties in height must stay in id order
-        rules = np.argsort(height[1:], kind="stable") + 1
+    # a stable sort by height keeps the order topological: ties in
+    # height stay in id order
+    rules = np.argsort(height[1:], kind="stable") + 1
     remap = np.zeros(len(ptr), dtype=np.int64)
     remap[rules] = np.arange(1, len(rules) + 1)
     ent = ent[_entries_of(ptr, rules)]

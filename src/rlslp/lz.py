@@ -35,12 +35,6 @@ _CHUNK_BYTES = 1 << 20
 # length of a match extension's first probe: most extensions are short
 _GALLOP_START = 8
 
-# a run of this many literals is scanned in bulk from then on, up to as
-# many windows at a time as the run has literals, and at most _BULK_MAX:
-# numpy pays a fixed cost per call that a short run does not recoup
-_BULK_AFTER = 512
-_BULK_MAX = 1 << 12
-
 
 @dataclass(frozen=True)
 class Phrase:
@@ -177,86 +171,6 @@ def _block_fingerprints(text: bytes | mmap.mmap, block_size: int,
     return v
 
 
-def _window_fingerprints(text: bytes | mmap.mmap, block_size: int,
-                         start: int, count: int) -> np.ndarray:
-    """Fingerprints of the count windows text[j:j + B] for j = start,
-    start + 1, ..., computed for all of them at once.
-
-    The fingerprints of every window of length L give those of length
-    2L, as fp(u v) = fp(u) * 256^|v| + fp(v) modulo 2^61 - 1, and the
-    binary digits of B say which of these lengths a window is joined
-    from.  As 2^61 = 1 modulo 2^61 - 1, multiplying by 256^L is a 61-bit
-    rotation by 8L mod 61, so no step can overflow uint64.
-    """
-    mod = np.uint64(FP_MOD)
-    c61 = np.uint64(61)
-    size = count + block_size - 1
-    piece = np.frombuffer(text, dtype=np.uint8, count=size,
-                          offset=start).astype(np.uint64)
-    scratch = np.empty(size, dtype=np.uint64)
-
-    def join(a: np.ndarray, b: np.ndarray, length: int,
-             out: np.ndarray) -> np.ndarray:
-        # out = a * 256^length + b for a, b at most 2^61 - 1, and out
-        # too; out may be a, but not b.  8 * length mod 61 is never 0
-        k = 8 * length % 61
-        t = scratch[:len(a)]
-        np.left_shift(a, np.uint64(k), out=t)
-        t &= mod
-        np.right_shift(a, np.uint64(61 - k), out=out)
-        out |= t
-        out += b
-        np.right_shift(out, c61, out=t)
-        out &= mod
-        out += t
-        return out
-
-    # acc holds the fingerprint of the first `done` bytes of each window
-    acc, done = None, 0
-    length, digits = 1, block_size
-    while True:
-        if digits & 1:
-            n = size - done - length + 1
-            acc = (piece[:n] if acc is None else
-                   join(acc[:n], piece[done:done + n], length, acc[:n]))
-            done += length
-        digits >>= 1
-        if not digits:
-            break
-        n = size - 2 * length + 1
-        piece = join(piece[:n], piece[length:length + n], length,
-                     np.empty(n, dtype=np.uint64))
-        length *= 2
-    np.subtract(acc, mod, out=acc, where=acc >= mod)
-    return acc
-
-
-def _sorted_table(table: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The block table as arrays: its fingerprints sorted and ending in a
-    value no fingerprint takes, and each one's block offset."""
-    keys = np.fromiter(table, dtype=np.uint64, count=len(table))
-    offsets = np.fromiter(table.values(), dtype=np.int64, count=len(table))
-    # the keys are distinct, so no tie's order is left to keep
-    order = np.argsort(keys)
-    return (np.append(keys[order], np.uint64(2**64 - 1)),
-            np.append(offsets[order], 0))
-
-
-def _next_stored_window(text: bytes | mmap.mmap, block_size: int,
-                        lo: int, hi: int, keys: np.ndarray,
-                        offsets: np.ndarray) -> int:
-    """The first j in lo..hi-1 whose window text[j:j + B] has the
-    fingerprint of a table block that ends at or before j, or hi if
-    there is none; keys and offsets are `_sorted_table`'s."""
-    if lo >= hi:
-        return hi
-    fps = _window_fingerprints(text, block_size, lo, hi - lo)
-    at = np.searchsorted(keys, fps)
-    found = np.flatnonzero((keys[at] == fps)
-                           & (offsets[at] + block_size <= np.arange(lo, hi)))
-    return lo + int(found[0]) if len(found) else hi
-
-
 def _release(text: bytes | mmap.mmap) -> None:
     """Drop the resident pages of a mapped text; they fault back from the
     page cache on the next touch.  Nothing to do for bytes."""
@@ -358,11 +272,7 @@ def parse_bentley_mcilroy(text: bytes | mmap.mmap,
     i is the first block with that fingerprint if it ends at or before i,
     and none otherwise; one table of first occurrences serves the whole
     scan.  Window fingerprints are computed only where the scan stands:
-    rolled across a literal, recomputed after a match.  Past
-    _BULK_AFTER literals in a row, the scan instead computes the next
-    windows' fingerprints at once and jumps to the first one the table
-    holds for a block ending at or before it, so it visits the same
-    candidates.
+    rolled across a literal, recomputed after a match.
 
     text is any read-only buffer, bytes or a read-only map of a file,
     read through one code path.  For a map, the block table pass, the
@@ -383,7 +293,6 @@ def parse_bentley_mcilroy(text: bytes | mmap.mmap,
     pos, lens = array("q"), array("q")
     i = lit = 0  # the literals since the last match start at lit
     h = fingerprint(text[:blk])
-    stored = None  # the table as arrays, made for the first long run
     while i <= last:
         # one chunk of progress, or one match past it, per release
         stop = min(i + _CHUNK_BYTES, last)
@@ -398,20 +307,11 @@ def parse_bentley_mcilroy(text: bytes | mmap.mmap,
                 lens.append(length)
                 i = lit = i + length
                 h = fingerprint(text[i:i + blk])
-            elif i - lit < _BULK_AFTER:
+            else:
                 if i < last:
                     h = ((h - text[i] * pow_top) * 256
                          + text[i + blk]) % FP_MOD
                 i += 1
-            else:
-                # a long run of literals: skip, in bulk, every window the
-                # lookup above would reject without comparing bytes
-                if stored is None:
-                    stored = _sorted_table(table)
-                hi = min(stop + 1, i + 1 + min(i - lit, _BULK_MAX))
-                i = _next_stored_window(text, blk, i + 1, hi, *stored)
-                if i <= last:
-                    h = fingerprint(text[i:i + blk])
         _release(text)
     pos.extend(text[lit:])
     lens.extend(bytes(n - lit))

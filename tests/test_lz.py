@@ -245,20 +245,6 @@ def test_block_fingerprints_match_reference():
                 for j in range(0, len(fps) * blk, blk)]
 
 
-def test_window_fingerprints_match_reference():
-    # every window at byte stride 1, from an odd start; the block sizes
-    # cover every binary digit pattern up to 19 and a few large ones
-    rng = random.Random(77)
-    texts = [bytes(rng.getrandbits(8) for _ in range(3000)),
-             b"\xff" * 3000]
-    for t in texts:
-        for blk in (*range(2, 20), 50, 61, 64, 500, 2047, 2048, 2049):
-            count = len(t) - blk - 2
-            fps = lz._window_fingerprints(t, blk, 3, count)
-            assert fps.tolist() == [lz.fingerprint(t[j:j + blk])
-                                    for j in range(3, 3 + count)], blk
-
-
 @pytest.mark.parametrize("blk", [2, 8, 50, 61])
 def test_block_table_matches_a_plain_loop(monkeypatch, blk):
     # texts of equal blocks put many ties in one chunk, in whatever order
@@ -351,26 +337,6 @@ def test_bm_fingerprint_collision_parses_as_the_reference():
 @pytest.fixture(scope="module")
 def acceptance_corpus():
     return gen_dataset(load_sample(), 4 << 20, mutation_rate=1e-5, seed=21)
-
-
-def test_bm_long_literal_runs_parse_as_the_reference(monkeypatch):
-    # a run of more than _BULK_AFTER literals is scanned in bulk: a window
-    # whose fingerprint collides with a stored block (b2 with b1, as in
-    # the test above) is still compared and rejected, a repeat ends the
-    # run, and a small chunk ends the bulk ranges at chunk edges
-    rng = random.Random(80)
-    b1 = b"A" * 50
-    b2 = bytearray(b1)
-    b2[4], b2[42] = ord("="), ord("C")
-    b2 = bytes(b2)
-    noise = bytes(rng.getrandbits(8) for _ in range(3000))
-    texts = [b1 + noise + b2 + noise[:700] + b2 + b1 + noise[:900],
-             noise + noise[1000:2000] + b2 * 3 + noise[::-1]]
-    for chunk in (1 << 20, 1000):
-        monkeypatch.setattr(lz, "_CHUNK_BYTES", chunk)
-        for t in texts:
-            assert phrases(parse_bentley_mcilroy(t, 50)) == \
-                reference_parse(t, 50), chunk
 
 
 def test_bm_acceptance_corpus_phrases_frozen(acceptance_corpus):

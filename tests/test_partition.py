@@ -17,7 +17,8 @@ from rlslp.naive import recompress_string
 from rlslp.partition import (PairMaps, Partition, PartitionError,
                              PartitionSource, RlslpBuilder,
                              RoundRecord, deterministic_partition,
-                             randomized_partition, round_limit)
+                             randomized_partition, round_limit,
+                             symbol_ranks)
 from rlslp.pipeline import StatsReport
 
 A, B, C = -97, -98, -99  # terminals a, b, c
@@ -35,6 +36,9 @@ def test_symbol_rank_orders_terminals_before_rules():
     assert symbol_rank(-256) == 256
     assert symbol_rank(1) == 257
     assert symbol_rank(-97) < symbol_rank(-98) < symbol_rank(5)
+    # the array form the program uses gives the same order
+    assert symbol_ranks(np.array([-1, -256, 1, -97, -98, 5])).tolist() == \
+        [1, 256, 257, 97, 98, 261]
 
 
 def test_pair_maps_recover_orientation():
