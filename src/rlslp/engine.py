@@ -11,10 +11,10 @@ length (an SLG, for which Jeż states recompression), not a binary SLP:
 the import inlines every rule referenced only once, so every rule but
 the start is referenced at least twice, and the rewrites keep it so.
 It is stored flat: rule j's right-hand side is ent[ptr[j-1]:ptr[j]],
-and an entry is either a reference to a working rule (positive) or an
-encoded level symbol (negative).  A level symbol is an output-grammar
-symbol: a terminal -(c+1) or a previously created rule id, encoded here
-as -(256 + id).
+and an entry is either a reference to a working rule (positive) or a
+level symbol r stored as -r (negative).  A level symbol is its rank
+(see `partition`): c + 1 for byte c, 256 + id for a previously created
+output rule.
 
 Rules are sorted by height layer, and a rule only references rules of
 lower layers, so rules of one layer never depend on each other: every
@@ -48,17 +48,8 @@ from .naive import string_rounds
 from .partition import (DEFAULT_SEED, DEFAULT_STRATEGY, ConvergenceError,
                         Laps, PairMaps, Partition, PartitionSource,
                         RecompressResult, RlslpBuilder, RoundRecord,
-                        round_limit, round_record)
+                        output_ids, round_limit, round_record)
 from .slg import prune_slp
-
-
-def _enc(syms: np.ndarray) -> np.ndarray:
-    """Encode level symbols for storage in a working rhs."""
-    return np.where(syms < 0, syms, -256 - syms)
-
-
-def _dec(entries: np.ndarray) -> np.ndarray:
-    return np.where(entries >= -256, entries, -256 - entries)
 
 
 def _heights(ptr: np.ndarray, ent: np.ndarray) -> np.ndarray:
@@ -126,10 +117,6 @@ class LevelGrammar:
     def __len__(self) -> int:
         return len(self.ptr) - 1
 
-    def rhs(self, j: int) -> list[int]:
-        """Right-hand side of rule j."""
-        return self.ent[self.ptr[j - 1]:self.ptr[j]].tolist()
-
     @property
     def row(self) -> np.ndarray:
         """Rule of every entry."""
@@ -147,7 +134,7 @@ class LevelGrammar:
             # by entry + off: a level symbol is its own, a rule's comes
             # from its first (last) entry
             off = -int(ent.min())
-            lms = np.concatenate((_dec(np.arange(-off, 0)),
+            lms = np.concatenate((np.arange(off, 0, -1),
                                   np.zeros(m + 1, dtype=np.int64)))
             rms = lms.copy()
             firsts = ent[ptr[:-1]] + off
@@ -224,7 +211,7 @@ class LevelGrammar:
         length if `opened` (a mask over the entries; default: every rule
         reference) and as one symbol otherwise."""
         ent, ptr = self.ent, self.ptr
-        # lengths by entry + off: the encoded level symbols -off..-1 come
+        # lengths by entry + off: the stored level symbols -off..-1 come
         # first, with length 1, then rule j at off + j
         off = -int(ent.min())
         lengths = np.zeros(off + len(self) + 1, dtype=dtype)
@@ -238,7 +225,7 @@ class LevelGrammar:
     def level_string(self) -> np.ndarray:
         """Materialized level string."""
         out, _ = self.expansions(np.array([len(self)]), self.ent > 0)
-        return _dec(out)
+        return -out
 
     def expansions(self, roots: np.ndarray, opened: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -417,12 +404,13 @@ def _next_grammar(vals, keys, widths, counts, add) -> LevelGrammar:
     """Assemble the rewritten grammar from per-layer pieces.
 
     An entry with a nonzero key is a pending (vals, keys) rule key,
-    replaced here by the encoded id the builder assigns to it.
+    replaced here by the stored form -r of the level symbol r the
+    builder assigns to it.
     """
     val = np.concatenate(vals)
     key = np.concatenate(keys)
     pending = key.nonzero()[0]
-    val[pending] = _enc(add(val[pending], key[pending]))
+    val[pending] = -add(val[pending], key[pending])
     lens = np.concatenate(widths)
     sizes = np.array(counts)
     layers = np.concatenate(([0], np.cumsum(sizes[sizes > 0]))).tolist()
@@ -463,7 +451,7 @@ def _merge_runs(sym, run, block, r, cl, cr):
     # inner runs become entries: one symbol plain, longer ones pending
     inner = _inner(True, len(sym), first, last, pop_l, pop_r)
     plain = inner & block & (run == 1)
-    sym[plain] = _enc(sym[plain])
+    sym[plain] = -sym[plain]
     run[plain] = 0
     block[inner] = False
     return sym, run, block, first, last, pop_l, pop_r
@@ -494,7 +482,7 @@ def bcomp(lg: LevelGrammar, builder: RlslpBuilder) -> LevelGrammar:
     join = (last[:-1] == first[1:]) & (row[1:] == row[:-1])
     if not join.any():
         return lg
-    return _rewrite(lg, (_dec(lg.ent), 1, True), join, _merge_runs,
+    return _rewrite(lg, (-lg.ent, 1, True), join, _merge_runs,
                     builder.add_runs)
 
 
@@ -518,8 +506,8 @@ def compute_nocc(lg: LevelGrammar) -> np.ndarray:
 
 def collect_pair_frequencies(lg: LevelGrammar, occ: np.ndarray
                              ) -> tuple[PairMaps, np.ndarray]:
-    """Weighted boundary pairs of all reachable rules, and the alphabet
-    in rank order (`symbol_ranks`).
+    """Weighted boundary pairs of all reachable rules, and the sorted
+    level alphabet.
 
     Every adjacent position of the level string crosses exactly one rule
     boundary (at the lowest rule spanning it), so summing boundary pairs
@@ -532,14 +520,13 @@ def collect_pair_frequencies(lg: LevelGrammar, occ: np.ndarray
     inner = (weight[:-1] > 0) & (row[1:] == row[:-1])
     maps = PairMaps()
     maps.add_arrays(last[:-1][inner], first[1:][inner], weight[:-1][inner])
-    # an encoded level symbol's rank is -entry
-    ranks = np.bincount(-ent[(ent < 0) & (weight > 0)]).nonzero()[0]
-    return maps, _dec(-ranks)
+    # a stored level symbol is -entry
+    return maps, np.bincount(-ent[(ent < 0) & (weight > 0)]).nonzero()[0]
 
 
 def _pair_up(val, key, side, r, cl, cr):
-    """pcomp step: atoms are level symbols (entry-coded, with their side
-    in the partition), pending pairs and references.  A left symbol
+    """pcomp step: atoms are level symbols (stored as entries, with their
+    side in the partition), pending pairs and references.  A left symbol
     followed by a right one inside a rule becomes a pending pair; a
     rule's first (last) symbol moves up where its left (right) boundary
     is crossed.  A crossed boundary's symbol is always on the side that
@@ -548,8 +535,8 @@ def _pair_up(val, key, side, r, cl, cr):
     starts = ((side[:-1] == 1) & (side[1:] == -1)
               & (r[:-1] == r[1:])).nonzero()[0]
     if len(starts):
-        key[starts] = _dec(val[starts + 1])
-        val[starts] = _dec(val[starts])
+        key[starts] = -val[starts + 1]
+        val[starts] = -val[starts]
         side[starts] = 0
         alive = np.ones(len(r), dtype=bool)
         alive[starts + 1] = False
@@ -626,7 +613,7 @@ def recompress(slp: Grammar, strategy: str = DEFAULT_STRATEGY,
         records.append(round_record(round_no, before, length,
                                     builder.productions - made, size, laps))
         if trace is not None:
-            trace.append(lg.level_string())
+            trace.append(output_ids(lg.level_string()))
         round_no += 1
     s = lg.level_string()
     del lg, lengths  # free the grammar for the string rounds

@@ -16,12 +16,14 @@ import numpy as np
 
 from .partition import (DEFAULT_SEED, DEFAULT_STRATEGY, ConvergenceError,
                         Laps, PairMaps, PartitionSource, RecompressResult,
-                        RlslpBuilder, RoundRecord, round_limit, round_record)
+                        RlslpBuilder, RoundRecord, output_ids, round_limit,
+                        round_record)
 
 
 def text_to_levels(text: bytes) -> np.ndarray:
-    """Initial level string: byte c becomes terminal symbol -(c+1)."""
-    return -(np.frombuffer(text, dtype=np.uint8).astype(np.int64) + 1)
+    """Initial level string: byte c becomes level symbol c + 1, the rank
+    of terminal -(c+1)."""
+    return np.frombuffer(text, dtype=np.uint8).astype(np.int64) + 1
 
 
 def bcomp_string(s: np.ndarray, builder: RlslpBuilder) -> np.ndarray:
@@ -74,9 +76,9 @@ def string_rounds(s: np.ndarray, round_no: int, builder: RlslpBuilder,
     builder's grammar closed on that symbol.
 
     Each round appends its RoundRecord to records, and its level string
-    to trace unless that is None.  round_no and limit count the rounds
-    of the whole recompression, also those a caller ran before handing
-    over s.
+    in output ids to trace unless that is None.  round_no and limit
+    count the rounds of the whole recompression, also those a caller ran
+    before handing over s.
     """
     while len(s) > 1:
         if round_no >= limit:
@@ -96,10 +98,10 @@ def string_rounds(s: np.ndarray, round_no: int, builder: RlslpBuilder,
                                     builder.productions - made, len(s),
                                     laps))
         if trace is not None:
-            trace.append(s.copy())
+            trace.append(output_ids(s))
         round_no += 1
-    return RecompressResult(builder.finish(int(s[0])), records, source.log,
-                            trace)
+    return RecompressResult(builder.finish(int(output_ids(s)[0])), records,
+                            source.log, trace)
 
 
 def recompress_string(text: bytes, strategy: str = DEFAULT_STRATEGY,

@@ -6,6 +6,12 @@ reference) go through this module, so fresh symbols get identical ids
 for identical level strings and traces can be compared symbol for
 symbol.  Fresh rules are therefore assigned per round in sorted key
 order rather than in traversal order.
+
+Inside a round a level symbol is its rank, a positive int64: byte c is
+c + 1 and output rule j is 256 + j, so plain integer order puts the
+terminals first by byte value, then the rules by id.  Output ids (a
+terminal -(c+1), a rule j) appear only where a grammar or a trace is
+made, through `output_ids`.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grammar import Grammar, Rule
+from .grammar import Grammar
 
 STRATEGIES = ("det", "rand", "mixed")
 DEFAULT_STRATEGY = "mixed"
@@ -31,11 +37,10 @@ class ConvergenceError(RuntimeError):
     """Raised when recompression exceeds its phase limit."""
 
 
-def symbol_ranks(syms: np.ndarray) -> np.ndarray:
-    """Rank of every element of an int64 array of level symbols, in the
-    total order over them: terminals first by byte value, then grammar
-    symbols by rule index."""
-    return np.where(syms < 0, -syms, 256 + syms)
+def output_ids(levels: np.ndarray) -> np.ndarray:
+    """Output-grammar symbol of every level symbol (rank) of an int64
+    array: a rank r <= 256 is terminal -r, a larger one rule r - 256."""
+    return np.where(levels <= 256, -levels, levels - 256)
 
 
 class PairMaps:
@@ -56,13 +61,12 @@ class PairMaps:
         are int64 arrays.  Called once, on a fresh PairMaps."""
         if len(first) == 0:
             return
-        # ranks are below the largest rank + 1, so the packed key fits
+        # symbols are below the largest one + 1, so the packed key fits
         # in int64 for any alphabet of fewer than 2^31 symbols
-        ra, rb = symbol_ranks(first), symbol_ranks(second)
-        span = int(max(ra.max(), rb.max())) + 1
+        span = int(max(first.max(), second.max())) + 1
         if span > 1 << 31:
             raise ValueError("level alphabet too large for pair keys")
-        key = ra * span + rb
+        key = first * span + second
         order = np.argsort(key)
         key = key[order]
         starts = np.flatnonzero(np.concatenate(([True],
@@ -71,24 +75,21 @@ class PairMaps:
         self.first, self.second = first[at], second[at]
         self.weight = np.add.reduceat(weight[order], starts)
 
-    def total_weight(self) -> int:
-        return int(self.weight.sum())
-
 
 class Partition:
     """Two-sided split of the level alphabet: its symbols `syms` (int64,
-    in rank order) and whether each goes `left`, built from a dict of
-    symbol to side."""
+    sorted) and whether each goes `left`, built from a dict of symbol to
+    side."""
 
     def __init__(self, sides: dict[int, bool]) -> None:
         syms = np.fromiter(sides, dtype=np.int64, count=len(sides))
-        bad = syms[(syms == 0) | (syms < -256)]
+        bad = syms[syms < 1]
         if len(bad):
             raise PartitionError(
                 f"partition key {int(bad[0])} is not a level symbol")
         left = np.fromiter(sides.values(), dtype=bool, count=len(sides))
         # the keys are distinct, so no tie's order is left to keep
-        order = np.argsort(symbol_ranks(syms))
+        order = np.argsort(syms)
         self.syms, self.left = syms[order], left[order]
 
     @classmethod
@@ -101,20 +102,19 @@ class Partition:
     def sides_of(self, syms: np.ndarray) -> np.ndarray:
         """Side of every level symbol in syms: 1 left, -1 right, 0 for
         symbols outside the split."""
-        ranks = symbol_ranks(self.syms)
-        # indexed by rank; the last slot, 0, stands for every larger rank
-        table = np.zeros(int(ranks.max(initial=0)) + 2, dtype=np.int8)
-        table[ranks] = np.where(self.left, 1, -1)
-        return table[np.minimum(symbol_ranks(syms), len(table) - 1)]
+        # indexed by symbol; slot 0, never set, stands for every symbol
+        # below 1, and the last slot for every larger one
+        table = np.zeros(int(self.syms.max(initial=0)) + 2, dtype=np.int8)
+        table[self.syms] = np.where(self.left, 1, -1)
+        return table[np.clip(syms, 0, len(table) - 1)]
 
 
 def _rank_order(alphabet) -> np.ndarray:
     """The alphabet, an int64 array or a collection of ints, as an int64
-    array sorted by rank (`symbol_ranks`)."""
+    array in rank order, which is plain integer order."""
     if not isinstance(alphabet, np.ndarray):
         alphabet = np.array(list(alphabet), dtype=np.int64)
-    # equal ranks are equal symbols, so no tie's order shows
-    return alphabet[np.argsort(symbol_ranks(alphabet))]
+    return np.sort(alphabet)
 
 
 def deterministic_partition(pairs: PairMaps, alphabet) -> Partition:
@@ -128,13 +128,11 @@ def deterministic_partition(pairs: PairMaps, alphabet) -> Partition:
     count = len(syms)
     if count == 0:
         return Partition.from_arrays(syms, np.zeros(0, dtype=bool))
-    ranks = symbol_ranks(syms)
 
     def position(side: np.ndarray) -> np.ndarray:
         # place in rank order; -1 outside the alphabet (never placed)
-        r = symbol_ranks(side)
-        at = np.minimum(np.searchsorted(ranks, r), count - 1)
-        return np.where(ranks[at] == r, at, -1)
+        at = np.minimum(np.searchsorted(syms, side), count - 1)
+        return np.where(syms[at] == side, at, -1)
 
     ia, ib = position(pairs.first), position(pairs.second)
     edge = (ia >= 0) & (ib >= 0) & (ia != ib)
@@ -263,10 +261,11 @@ def round_record(round_no: int, before: int, after: int, new_rules: int,
 class RlslpBuilder:
     """Accumulates the output grammar across rounds.
 
-    A round's fresh rules come as two int64 key arrays: symbol and
-    length for runs, left and right symbol for pairs.  Its distinct keys
-    get the next ids in sorted key order, so both engines assign the
-    same ones.  Keys are deduplicated within their round only, as none
+    A round's fresh rules come as two int64 key arrays: level symbol and
+    length for runs, left and right level symbol for pairs.  Its
+    distinct keys get the next ids in the sorted order of the keys in
+    output ids, so both engines assign the same ones, and come back as
+    level symbols.  Keys are deduplicated within their round only, as none
     can come back.  A later pair round speaks a fresh level alphabet.  A
     run round leaves no two equal symbols adjacent, and a pair round
     makes two old symbols adjacent only if they already were, so every
@@ -278,15 +277,16 @@ class RlslpBuilder:
         self.productions = 0
 
     def add_runs(self, sym: np.ndarray, length: np.ndarray) -> np.ndarray:
-        """Ids of the run rules sym[i]^length[i]."""
-        return self._add(True, sym, length)
+        """Level symbols of the run rules sym[i]^length[i]."""
+        return self._add(True, output_ids(sym), length)
 
     def add_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Ids of the pair rules a[i] b[i]."""
-        return self._add(False, a, b)
+        """Level symbols of the pair rules a[i] b[i]."""
+        return self._add(False, output_ids(a), output_ids(b))
 
     def _add(self, run: bool, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Ids for the keys (a[i], b[i]) of run or pair rules."""
+        """Level symbols for the keys (a[i], b[i]) of run or pair rules,
+        given in output ids, whose order sets the fresh ids."""
         if len(a) == 0:
             return np.empty(0, dtype=np.int64)
         order = np.lexsort((b, a))
@@ -295,20 +295,15 @@ class RlslpBuilder:
         new[0] = True
         new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
         rank = np.cumsum(new)
-        ids = np.empty(len(order), dtype=np.int64)
-        ids[order] = self.productions + rank
+        levels = np.empty(len(order), dtype=np.int64)
+        levels[order] = 256 + self.productions + rank
         self._keys.append((run, a[new], b[new]))
         self.productions += int(rank[-1])
-        return ids
-
-    @property
-    def rules(self) -> list[Rule]:
-        """The rules made so far, in id order."""
-        # closing on the last rule made adds no rule
-        return self.finish(self.productions).rules
+        return levels
 
     def finish(self, final_symbol: int) -> Grammar:
-        """Close the grammar so `final_symbol` expands the whole text.
+        """Close the grammar so `final_symbol`, an output id, expands the
+        whole text.
 
         Every round's keys are the two entries of its rules.
         """

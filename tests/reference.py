@@ -2,9 +2,11 @@
 expansion and pruning, the per-phrase factorization checks, the
 dict-building partition strategies, and the engine's inlining of
 single-use rules; the weight a partition replaces, the oracle of the
-quarter guarantee; the scalar symbol rank and the dict views of pair
-counts and partitions that only tests read; and a left-comb
-binarization that tests use to build deep grammars.
+quarter guarantee; the scalar symbol rank, the dict views of pair
+counts and partitions, the builder's rules so far, a working rule's
+right-hand side and a pair count's total weight, which only tests
+read; and a left-comb binarization that tests use to build deep
+grammars.
 
 These walk `Grammar.rules` one `SeqRule`/`RunRule` at a time, the
 phrases one at a time, and the alphabet one symbol at a time, as the
@@ -18,13 +20,11 @@ from __future__ import annotations
 import random
 import struct
 
-import numpy as np
-
 from rlslp.grammar import (MAX_ALPHABET, MAX_EXPANSION, SLG_MAGIC,
                            SLG_VERSION, FormatError, Grammar, GrammarError,
                            RunRule, SeqRule, ValidationReport, term_byte)
 from rlslp.lz import Factorization, ParseError
-from rlslp.partition import PairMaps, Partition, symbol_ranks
+from rlslp.partition import PairMaps, Partition, RlslpBuilder
 
 _HEADER = struct.Struct("<4sBQQ")
 _U64 = struct.Struct("<Q")
@@ -222,9 +222,24 @@ def ref_check_factorization(fz: Factorization) -> None:
 
 
 def symbol_rank(sym: int) -> int:
-    """Total order over level symbols: terminals first by byte value,
-    then grammar symbols by rule index."""
+    """Level symbol (rank) of an output-grammar symbol: terminals first
+    by byte value, then grammar symbols by rule index."""
     return -sym if sym < 0 else 256 + sym
+
+
+def builder_rules(builder: RlslpBuilder) -> list:
+    """The rules the builder has made so far, in id order."""
+    # closing on the last rule made adds no rule
+    return builder.finish(builder.productions).rules
+
+
+def rhs(lg, j: int) -> list[int]:
+    """Right-hand side of rule j of a working grammar."""
+    return lg.ent[lg.ptr[j - 1]:lg.ptr[j]].tolist()
+
+
+def total_weight(pairs: PairMaps) -> int:
+    return int(pairs.weight.sum())
 
 
 def oriented_items(pairs: PairMaps):
@@ -236,12 +251,6 @@ def oriented_items(pairs: PairMaps):
 def sides(part: Partition) -> dict[int, bool]:
     """The split as a dict of symbol to side, True for left."""
     return dict(zip(part.syms.tolist(), part.left.tolist()))
-
-
-def _rank_order(alphabet) -> np.ndarray:
-    """The alphabet as an int64 array sorted by symbol_rank."""
-    syms = np.fromiter(alphabet, dtype=np.int64)
-    return syms[np.argsort(symbol_ranks(syms), kind="stable")]
 
 
 def replaced_weight(pairs: PairMaps, part: Partition) -> int:
@@ -261,7 +270,7 @@ def ref_deterministic_partition(pairs: PairMaps, alphabet) -> Partition:
     when the weight of the pairs it takes left to right is below that of
     the pairs right to left.
     """
-    syms = sorted((int(s) for s in alphabet), key=symbol_rank)
+    syms = sorted(int(s) for s in alphabet)
     near: dict[int, dict[int, int]] = {s: {} for s in syms}
     for (a, b), w in oriented_items(pairs):
         if a != b and a in near and b in near:
@@ -291,7 +300,7 @@ def ref_randomized_partition(alphabet, rng: random.Random) -> Partition:
     """Independent fair coin per symbol, in rank order for stable
     replay under a fixed seed."""
     return Partition({sym: bool(rng.getrandbits(1))
-                      for sym in _rank_order(alphabet).tolist()})
+                      for sym in sorted(int(s) for s in alphabet)})
 
 
 def ref_inline(rules: list[list[int]]) -> tuple[list[list[int]], list[int]]:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import mutated_text, random_seq_grammar
+from reference import rhs
 from rlslp import cli
 from rlslp.dataset import gen_dataset, load_sample
 from rlslp.engine import LevelGrammar, compute_nocc, recompress
@@ -159,7 +160,7 @@ def test_criterion_07_nocc_brute_force():
         m = len(lg)
         nodes = [0] * (m + 1)
         for j in range(1, m + 1):
-            nodes[j] = 1 + sum(nodes[e] for e in lg.rhs(j) if e > 0)
+            nodes[j] = 1 + sum(nodes[e] for e in rhs(lg, j) if e > 0)
         if nodes[m] > 1000:
             continue
         counts = [0] * (m + 1)
@@ -167,7 +168,7 @@ def test_criterion_07_nocc_brute_force():
         while stack:
             j = stack.pop()
             counts[j] += 1
-            for e in lg.rhs(j):
+            for e in rhs(lg, j):
                 if e > 0:
                     stack.append(e)
         assert compute_nocc(lg).tolist() == counts

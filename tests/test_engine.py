@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import (mutated_text, random_rlslp, random_seq_grammar,
                       random_text)
-from rlslp.engine import (LevelGrammar, _dec, _enc, bcomp,
-                          collect_pair_frequencies, compute_nocc, inline,
-                          pcomp, recompress)
+from rlslp.engine import (LevelGrammar, bcomp, collect_pair_frequencies,
+                          compute_nocc, inline, pcomp, recompress)
 from rlslp.dataset import gen_dataset, load_sample
 from rlslp.grammar import (Grammar, GrammarError, RunRule, SeqRule,
                            decode_grammar, expand, expansion_lengths,
@@ -26,12 +25,13 @@ from rlslp.lz import parse_bentley_mcilroy
 from rlslp.naive import (bcomp_string, pair_stats_string, pcomp_string,
                          recompress_string, text_to_levels)
 from rlslp.partition import (STRATEGIES, ConvergenceError, Partition,
-                             PartitionSource, RlslpBuilder,
+                             PartitionSource, RlslpBuilder, output_ids,
                              randomized_partition)
 from rlslp.pipeline import PipelineConfig, run_pipeline
 from rlslp.slg import lz_to_slg, prune_slp
-from reference import (oriented_items, ref_inline, ref_slg_to_slp,
-                       replaced_weight, sides)
+from reference import (builder_rules, oriented_items, ref_inline,
+                       ref_slg_to_slp, replaced_weight, rhs, sides,
+                       symbol_rank, total_weight)
 
 
 def term(ch: str) -> int:
@@ -45,22 +45,6 @@ def slp_of(t: bytes) -> Grammar:
     return prune_slp(lz_to_slg(parse_bentley_mcilroy(t, 8)))
 
 
-# --- symbol encoding ---------------------------------------------------
-
-
-def test_enc_dec_frozen():
-    assert _enc(np.array([A, 1, 5])).tolist() == [A, -257, -261]
-    assert _dec(np.array([-257])).tolist() == [1]
-    assert _dec(np.array([A])).tolist() == [A]
-
-
-@given(st.one_of(st.integers(-256, -1), st.integers(1, 10**9)))
-def test_enc_dec_round_trip(sym):
-    entry = int(_enc(np.array([sym]))[0])
-    assert entry < 0
-    assert _dec(np.array([entry])).tolist() == [sym]
-
-
 # --- level grammar import ----------------------------------------------
 
 
@@ -70,8 +54,8 @@ def test_from_slp_expands_run_rules_by_doubling():
     assert lg.level_string().tolist() == text_to_levels(expand(g)).tolist()
     # 1000 = 0b1111101000: nine doublings and five partial products
     assert len(lg) == 1 + 9 + 5 + 1
-    assert LevelGrammar.from_slp(
-        Grammar([RunRule(A, 3)])).level_string().tolist() == [A, A, A]
+    assert output_ids(LevelGrammar.from_slp(
+        Grammar([RunRule(A, 3)])).level_string()).tolist() == [A, A, A]
     with pytest.raises(GrammarError):
         LevelGrammar.from_slp(Grammar([RunRule(A, 1)]))
 
@@ -109,7 +93,7 @@ def test_from_slp_drops_unreachable_rules():
     g = Grammar([SeqRule((A, B)), SeqRule((B, B)), SeqRule((1, A))])
     lg = LevelGrammar.from_slp(g)
     assert len(lg) == 2
-    assert lg.level_string().tolist() == [A, B, A]
+    assert output_ids(lg.level_string()).tolist() == [A, B, A]
 
 
 def with_dead_rules(g: Grammar, rng: random.Random) -> Grammar:
@@ -206,8 +190,8 @@ def test_inline_matches_reference(g):
     out = inline(lg)
     m = len(out)
     assert out.level_string().tolist() == lg.level_string().tolist()
-    rules, layers = ref_inline([lg.rhs(j) for j in range(1, len(lg) + 1)])
-    assert [out.rhs(j) for j in range(1, m + 1)] == rules
+    rules, layers = ref_inline([rhs(lg, j) for j in range(1, len(lg) + 1)])
+    assert [rhs(out, j) for j in range(1, m + 1)] == rules
     assert out.layers == layers
     # no rule but the start is referenced once, and the start not at all
     refs = np.bincount(out.ent[out.ent > 0], minlength=m + 1)
@@ -215,7 +199,7 @@ def test_inline_matches_reference(g):
     assert inline(out) is out
     layer = np.searchsorted(out.layers, np.arange(m + 1)) - 1
     for j in range(1, m + 1):
-        assert all(layer[e] < layer[j] for e in out.rhs(j) if e > 0)
+        assert all(layer[e] < layer[j] for e in rhs(out, j) if e > 0)
     assert out.layers[-2] == m - 1
 
 
@@ -225,7 +209,8 @@ def test_inline_flattens_a_deep_comb():
     g = ref_slg_to_slp(Grammar([SeqRule(tuple(-(c + 1) for c in t))]))
     lg = inline(LevelGrammar.from_slp(g))
     assert len(lg) == 1 and lg.layers == [0, 1]
-    assert lg.rhs(1) == text_to_levels(t).tolist()
+    # a level symbol r is stored as -r
+    assert rhs(lg, 1) == (-text_to_levels(t)).tolist()
 
 
 def test_level_string_matches_expansion():
@@ -254,8 +239,9 @@ def test_bcomp_frozen_ids_and_level():
     assert expand(g) == b"aaabbbaa"
     builder = RlslpBuilder()
     out = bcomp(LevelGrammar.from_slp(g), builder)
-    assert builder.rules == [RunRule(B, 3), RunRule(A, 2), RunRule(A, 3)]
-    assert out.level_string().tolist() == [3, 1, 2]
+    assert builder_rules(builder) == [RunRule(B, 3), RunRule(A, 2),
+                                      RunRule(A, 3)]
+    assert output_ids(out.level_string()).tolist() == [3, 1, 2]
 
 
 def test_bcomp_matches_string_engine():
@@ -270,7 +256,7 @@ def test_bcomp_matches_string_engine():
         want = bcomp_string(text_to_levels(t), bs)
         got = out.level_string()
         assert got.tolist() == want.tolist()
-        assert bg.rules == bs.rules
+        assert builder_rules(bg) == builder_rules(bs)
         assert all(got[i] != got[i + 1] for i in range(len(got) - 1))
 
 
@@ -279,12 +265,13 @@ def test_bcomp_runs_across_rule_boundaries_frozen():
                  SeqRule((1, 2))])
     builder = RlslpBuilder()
     out = bcomp(LevelGrammar.from_slp(g), builder)
-    assert builder.rules == [RunRule(B, 3), RunRule(A, 2), RunRule(A, 3)]
-    assert out.level_string().tolist() == [3, 1, 2]
+    assert builder_rules(builder) == [RunRule(B, 3), RunRule(A, 2),
+                                      RunRule(A, 3)]
+    assert output_ids(out.level_string()).tolist() == [3, 1, 2]
     builder = RlslpBuilder()
     out = bcomp(LevelGrammar.from_slp(Grammar([SeqRule((A, B))])), builder)
-    assert builder.rules == []
-    assert out.level_string().tolist() == [A, B]
+    assert builder_rules(builder) == []
+    assert output_ids(out.level_string()).tolist() == [A, B]
 
 
 def test_bcomp_finds_a_run_across_a_rule_boundary():
@@ -294,8 +281,8 @@ def test_bcomp_finds_a_run_across_a_rule_boundary():
     builder = RlslpBuilder()
     out = bcomp(lg, builder)
     assert out is not lg
-    assert builder.rules == [RunRule(B, 2)]
-    assert out.level_string().tolist() == [A, 1, C]
+    assert builder_rules(builder) == [RunRule(B, 2)]
+    assert output_ids(out.level_string()).tolist() == [A, 1, C]
 
 
 def test_bcomp_keeps_the_runs_of_an_uncrossed_rule():
@@ -304,13 +291,13 @@ def test_bcomp_keeps_the_runs_of_an_uncrossed_rule():
     g = Grammar([SeqRule((A, B, B, A)), SeqRule((1, C, 1, D, D))])
     bg, bs = RlslpBuilder(), RlslpBuilder()
     out = bcomp(LevelGrammar.from_slp(g), bg)
-    assert bg.rules == [RunRule(D, 2), RunRule(B, 2)]
+    assert builder_rules(bg) == [RunRule(D, 2), RunRule(B, 2)]
     assert (len(out), len(out.ent)) == (2, 7)
-    assert out.rhs(1) == [A, -258, A]
-    assert out.rhs(2) == [1, C, 1, -257]
+    assert rhs(out, 1) == [A, -258, A]
+    assert rhs(out, 2) == [1, C, 1, -257]
     want = bcomp_string(text_to_levels(expand(g)), bs)
     assert out.level_string().tolist() == want.tolist()
-    assert bg.rules == bs.rules
+    assert builder_rules(bg) == builder_rules(bs)
 
 
 def test_bcomp_keeps_exactly_the_grammars_without_runs():
@@ -333,7 +320,7 @@ def test_bcomp_keeps_exactly_the_grammars_without_runs():
         want = bcomp_string(s, bs)
         assert (out is lg) == (bs.productions == 0)
         assert out.level_string().tolist() == want.tolist()
-        assert bg.rules == bs.rules
+        assert builder_rules(bg) == builder_rules(bs)
         kept += out is lg
         rewritten += out is not lg
     assert kept > 50 and rewritten > 50
@@ -361,8 +348,9 @@ def test_bcomp_long_run_across_children():
     out = bcomp(LevelGrammar.from_slp(g), bg)
     want = bcomp_string(text_to_levels(expand(g)), bs)
     assert out.level_string().tolist() == want.tolist()
-    assert bg.rules == bs.rules == [RunRule(A, 1000), RunRule(A, 1002)]
-    assert want.tolist() == [B, 1, B, 2]
+    assert builder_rules(bg) == builder_rules(bs) == [RunRule(A, 1000),
+                                                      RunRule(A, 1002)]
+    assert output_ids(want).tolist() == [B, 1, B, 2]
 
 
 def level_runs(g: Grammar) -> list[tuple[int, int]]:
@@ -370,10 +358,11 @@ def level_runs(g: Grammar) -> list[tuple[int, int]]:
     a run rule's id stands for (base, exponent), any other symbol for
     a run of one."""
     builder = RlslpBuilder()
-    out = bcomp(LevelGrammar.from_slp(g), builder).level_string().tolist()
+    out = bcomp(LevelGrammar.from_slp(g), builder).level_string()
+    rules = builder_rules(builder)
     runs = []
-    for s in out:
-        r = builder.rules[s - 1] if s > 0 else None
+    for s in output_ids(out).tolist():
+        r = rules[s - 1] if s > 0 else None
         runs.append((r.base, r.exponent) if isinstance(r, RunRule)
                     else (s, 1))
     return runs
@@ -445,7 +434,7 @@ def test_layered_sweeps_match_string_engine_on_unbalanced_grammars():
         lg = bcomp(LevelGrammar.from_slp(g), bg)
         s = bcomp_string(text_to_levels(text), bs)
         assert lg.level_string().tolist() == s.tolist()
-        assert bg.rules == bs.rules
+        assert builder_rules(bg) == builder_rules(bs)
         if len(s) < 2:
             continue
         pairs, alphabet = collect_pair_frequencies(lg, compute_nocc(lg))
@@ -457,7 +446,7 @@ def test_layered_sweeps_match_string_engine_on_unbalanced_grammars():
         out = pcomp(lg, part, bg)
         assert out.level_string().tolist() == pcomp_string(
             s, part, bs).tolist()
-        assert bg.rules == bs.rules
+        assert builder_rules(bg) == builder_rules(bs)
 
 
 def test_recompress_lock_step_on_unbalanced_grammars():
@@ -494,7 +483,7 @@ def test_nocc_against_tree_walk():
         m = len(lg)
         nodes = [0] * (m + 1)
         for j in range(1, m + 1):
-            nodes[j] = 1 + sum(nodes[e] for e in lg.rhs(j) if e > 0)
+            nodes[j] = 1 + sum(nodes[e] for e in rhs(lg, j) if e > 0)
         if nodes[m] > 10000:
             continue
         counts = [0] * (m + 1)
@@ -502,7 +491,7 @@ def test_nocc_against_tree_walk():
         while stack:
             j = stack.pop()
             counts[j] += 1
-            for e in lg.rhs(j):
+            for e in rhs(lg, j):
                 if e > 0:
                     stack.append(e)
         assert compute_nocc(lg).tolist() == counts
@@ -513,8 +502,9 @@ def test_pair_frequencies_frozen():
     g = Grammar([SeqRule((A, B)), SeqRule((A, B)), SeqRule((1, 2))])
     lg = LevelGrammar.from_slp(g)
     maps, alphabet = collect_pair_frequencies(lg, compute_nocc(lg))
-    assert set(alphabet) == {A, B}
-    assert dict(oriented_items(maps)) == {(A, B): 2, (B, A): 1}
+    assert set(output_ids(alphabet)) == {A, B}
+    a, b = symbol_rank(A), symbol_rank(B)
+    assert dict(oriented_items(maps)) == {(a, b): 2, (b, a): 1}
 
 
 def test_pair_frequencies_match_level_string():
@@ -529,7 +519,7 @@ def test_pair_frequencies_match_level_string():
         want_maps, want_alpha = pair_stats_string(s)
         assert set(alphabet) == set(want_alpha)
         assert dict(oriented_items(maps)) == dict(oriented_items(want_maps))
-        assert maps.total_weight() == len(s) - 1
+        assert total_weight(maps) == len(s) - 1
 
 
 # --- pcomp --------------------------------------------------------------
@@ -551,23 +541,24 @@ def test_pcomp_matches_string_engine():
         out = pcomp(lg, part, bg)
         want = pcomp_string(s, part, bs)
         assert out.level_string().tolist() == want.tolist()
-        assert bg.rules == bs.rules
+        assert builder_rules(bg) == builder_rules(bs)
 
 
 def test_pcomp_keeps_an_uncrossed_right_side_first_symbol():
     # b is on the right side but follows no left-side symbol, so it
     # stays in rule 1, which survives as [b, (ac)]
     g = Grammar([SeqRule((B, A, C)), SeqRule((1, D, 1))])
-    part = Partition({A: True, B: False, C: False, D: False})
+    part = Partition({symbol_rank(A): True, symbol_rank(B): False,
+                      symbol_rank(C): False, symbol_rank(D): False})
     bg, bs = RlslpBuilder(), RlslpBuilder()
     out = pcomp(LevelGrammar.from_slp(g), part, bg)
-    assert bg.rules == [SeqRule((A, C))]
+    assert builder_rules(bg) == [SeqRule((A, C))]
     assert (len(out), len(out.ent)) == (2, 5)
-    assert out.rhs(1) == [B, -257]
-    assert out.rhs(2) == [1, D, 1]
+    assert rhs(out, 1) == [B, -257]
+    assert rhs(out, 2) == [1, D, 1]
     want = pcomp_string(text_to_levels(expand(g)), part, bs)
     assert out.level_string().tolist() == want.tolist()
-    assert bg.rules == bs.rules
+    assert builder_rules(bg) == builder_rules(bs)
 
 
 # --- full runs ----------------------------------------------------------
@@ -759,10 +750,11 @@ def test_injected_partitions_reproduce_string_run():
 
 
 def _random_sides(rng: random.Random, t: bytes, count: int):
-    """Partitions over the terminals of t and the rule ids up to len(t),
-    more than recompressing t can make (each new rule shortens the level
-    string): each symbol left, right or on neither side."""
-    syms = [-(c + 1) for c in sorted(set(t))] + list(range(1, len(t) + 1))
+    """Partitions over the level symbols of the terminals of t and of
+    the rule ids up to len(t), more than recompressing t can make (each
+    new rule shortens the level string): each symbol left, right or on
+    neither side."""
+    syms = [c + 1 for c in sorted(set(t))] + list(range(257, len(t) + 257))
     return [Partition({s: rng.random() < 0.5 for s in syms
                        if rng.random() < 0.9}) for _ in range(count)]
 
@@ -807,7 +799,8 @@ def test_pair_round_weights_are_the_length_drop(t, seed):
             assert rec.replaced_weight == before - rec.length_after
             assert rec.total_weight == before - 1
             # the partition's crossing weight on the level string before
-            pairs, _ = pair_stats_string(res.trace[i - 1])
+            levels = [symbol_rank(x) for x in res.trace[i - 1].tolist()]
+            pairs, _ = pair_stats_string(np.array(levels))
             assert replaced_weight(pairs, res.partitions[i // 2]) == \
                 rec.replaced_weight
 

@@ -8,44 +8,52 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mutated_text, random_text
-from reference import oriented_items
+from reference import builder_rules, oriented_items, total_weight
 from rlslp.grammar import RunRule, SeqRule, expand, validate
 from rlslp.naive import (bcomp_string, pair_stats_string, pcomp_string,
                          recompress_string, text_to_levels)
-from rlslp.partition import Partition, PartitionSource, RlslpBuilder
+from rlslp.partition import Partition, RlslpBuilder, output_ids
 
 
 def term(ch: str) -> int:
     return -(ord(ch) + 1)
 
 
+def level(ch: str) -> int:
+    """Level symbol (rank) of terminal term(ch)."""
+    return ord(ch) + 1
+
+
 def test_text_to_levels_maps_bytes_to_terminals():
-    assert text_to_levels(b"abc").tolist() == [term("a"), term("b"), term("c")]
-    assert text_to_levels(b"\x00").tolist() == [-1]
+    assert output_ids(text_to_levels(b"abc")).tolist() == [
+        term("a"), term("b"), term("c")]
+    assert output_ids(text_to_levels(b"\x00")).tolist() == [-1]
     assert text_to_levels(b"").tolist() == []
 
 
 def test_bcomp_replaces_only_the_long_run():
     b = RlslpBuilder()
     out = bcomp_string(text_to_levels(b"abaaaaba"), b)
-    assert out.tolist() == [term("a"), term("b"), 1, term("b"), term("a")]
-    assert b.rules == [RunRule(term("a"), 4)]
+    assert output_ids(out).tolist() == [term("a"), term("b"), 1, term("b"),
+                                        term("a")]
+    assert builder_rules(b) == [RunRule(term("a"), 4)]
 
 
 def test_bcomp_leaves_runless_text_alone():
     b = RlslpBuilder()
     out = bcomp_string(text_to_levels(b"abc"), b)
-    assert out.tolist() == [term("a"), term("b"), term("c")]
+    assert output_ids(out).tolist() == [term("a"), term("b"), term("c")]
     assert b.productions == 0
 
 
 def test_bcomp_two_runs_sorted_ids():
     b = RlslpBuilder()
     out = bcomp_string(text_to_levels(b"aabb"), b)
-    # ids are handed out in sorted key order; b ranks before a here
-    # because terminals sort by symbol value, not byte value
-    assert b.rules == [RunRule(term("b"), 2), RunRule(term("a"), 2)]
-    assert out.tolist() == [2, 1]
+    # ids are handed out in sorted key order, in output ids; b comes
+    # before a here because terminals sort by symbol value, not byte
+    # value
+    assert builder_rules(b) == [RunRule(term("b"), 2), RunRule(term("a"), 2)]
+    assert output_ids(out).tolist() == [2, 1]
 
 
 def test_bcomp_against_manual_scan():
@@ -57,14 +65,15 @@ def test_bcomp_against_manual_scan():
         b = RlslpBuilder()
         out = bcomp_string(text_to_levels(t), b)
         # replay: expand run symbols back and compare
+        rules = builder_rules(b)
         expanded: list[int] = []
-        for sym in out.tolist():
+        for sym in output_ids(out).tolist():
             if sym > 0:
-                rule = b.rules[sym - 1]
+                rule = rules[sym - 1]
                 expanded.extend([rule.base] * rule.exponent)
             else:
                 expanded.append(sym)
-        assert expanded == text_to_levels(t).tolist()
+        assert expanded == output_ids(text_to_levels(t)).tolist()
         # no two adjacent symbols equal afterwards
         assert all(out[i] != out[i + 1] for i in range(len(out) - 1))
 
@@ -72,31 +81,31 @@ def test_bcomp_against_manual_scan():
 def test_pair_stats_counts_and_alphabet():
     s = text_to_levels(b"abab")
     maps, alphabet = pair_stats_string(s)
-    assert set(alphabet) == {term("a"), term("b")}
+    assert set(alphabet) == {level("a"), level("b")}
     assert dict(oriented_items(maps)) == {
-        (term("a"), term("b")): 2, (term("b"), term("a")): 1}
-    assert maps.total_weight() == 3
+        (level("a"), level("b")): 2, (level("b"), level("a")): 1}
+    assert total_weight(maps) == 3
 
 
 def test_pcomp_replaces_crossing_pairs():
     b = RlslpBuilder()
-    part = Partition({term("a"): True, term("b"): False})
+    part = Partition({level("a"): True, level("b"): False})
     out = pcomp_string(text_to_levels(b"abab"), part, b)
-    assert out.tolist() == [1, 1]
-    assert b.rules == [SeqRule((term("a"), term("b")))]
+    assert output_ids(out).tolist() == [1, 1]
+    assert builder_rules(b) == [SeqRule((term("a"), term("b")))]
 
 
 def test_pcomp_trailing_symbol_survives():
     b = RlslpBuilder()
-    part = Partition({term("a"): True, term("b"): False})
+    part = Partition({level("a"): True, level("b"): False})
     out = pcomp_string(text_to_levels(b"aba"), part, b)
-    assert out.tolist() == [1, term("a")]
+    assert output_ids(out).tolist() == [1, term("a")]
 
 
 def test_pcomp_one_sided_partition_is_identity():
     s = text_to_levels(b"abab")
-    for sides in ({term("a"): True, term("b"): True},
-                  {term("a"): False, term("b"): False}):
+    for sides in ({level("a"): True, level("b"): True},
+                  {level("a"): False, level("b"): False}):
         b = RlslpBuilder()
         out = pcomp_string(s, Partition(sides), b)
         assert out.tolist() == s.tolist()

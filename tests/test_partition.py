@@ -9,19 +9,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import (oriented_items, ref_deterministic_partition,
-                       ref_randomized_partition, replaced_weight, sides,
-                       symbol_rank)
+from reference import (builder_rules, oriented_items,
+                       ref_deterministic_partition, ref_randomized_partition,
+                       replaced_weight, sides, symbol_rank, total_weight)
 from rlslp.grammar import RunRule, SeqRule
 from rlslp.naive import recompress_string
 from rlslp.partition import (PairMaps, Partition, PartitionError,
                              PartitionSource, RlslpBuilder,
                              RoundRecord, deterministic_partition,
-                             randomized_partition, round_limit,
-                             symbol_ranks)
+                             output_ids, randomized_partition, round_limit)
 from rlslp.pipeline import StatsReport
 
-A, B, C = -97, -98, -99  # terminals a, b, c
+A, B, C = 97, 98, 99  # level symbols of terminals -97, -98, -99
 
 
 def pair_maps(triples) -> PairMaps:
@@ -31,20 +30,18 @@ def pair_maps(triples) -> PairMaps:
     return pm
 
 
-def test_symbol_rank_orders_terminals_before_rules():
-    assert symbol_rank(-1) == 1
-    assert symbol_rank(-256) == 256
-    assert symbol_rank(1) == 257
-    assert symbol_rank(-97) < symbol_rank(-98) < symbol_rank(5)
-    # the array form the program uses gives the same order
-    assert symbol_ranks(np.array([-1, -256, 1, -97, -98, 5])).tolist() == \
-        [1, 256, 257, 97, 98, 261]
+@given(st.one_of(st.integers(-256, -1), st.integers(1, 10**9)))
+def test_output_ids_invert_symbol_rank(sym):
+    # terminals first by byte value, then rules by id
+    assert output_ids(np.array([1, 256, 257, 97, 98, 261])).tolist() == \
+        [-1, -256, 1, -97, -98, 5]
+    assert output_ids(np.array([symbol_rank(sym)])).tolist() == [sym]
 
 
 def test_pair_maps_recover_orientation():
     pm = pair_maps([(A, B, 3), (B, A, 5), (A, C, 2)])
     assert dict(oriented_items(pm)) == {(A, B): 3, (B, A): 5, (A, C): 2}
-    assert pm.total_weight() == 10
+    assert total_weight(pm) == 10
 
 
 def test_two_symbol_cut_takes_everything():
@@ -67,7 +64,7 @@ def test_triangle_against_exhaustive_search():
     assert _exhaustive_best(pm, [A, B, C]) == 6
     part = deterministic_partition(pm, [A, B, C])
     got = replaced_weight(pm, part)
-    assert got * 4 >= pm.total_weight()
+    assert got * 4 >= total_weight(pm)
     # the greedy is not optimal here (cuts one edge of three), but it
     # clears the quarter bar; pin its value so drift is visible
     assert got == 3
@@ -76,19 +73,19 @@ def test_triangle_against_exhaustive_search():
 def test_quarter_guarantee_random_instances():
     rng = random.Random(300)
     for _ in range(300):
-        syms = rng.sample(range(-256, 0), rng.randint(2, 12))
+        syms = rng.sample(range(1, 257), rng.randint(2, 12))
         pm = pair_maps([(*rng.sample(syms, 2), rng.randint(1, 50))
                         for _ in range(rng.randint(1, 30))])
         part = deterministic_partition(pm, syms)
         assert set(sides(part)) == set(syms)
-        assert replaced_weight(pm, part) * 4 >= pm.total_weight()
+        assert replaced_weight(pm, part) * 4 >= total_weight(pm)
         best = _exhaustive_best(pm, syms)
         assert replaced_weight(pm, part) <= best
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(
-    st.tuples(st.integers(-256, -1), st.integers(-256, -1),
+    st.tuples(st.integers(1, 256), st.integers(1, 256),
               st.integers(1, 100)),
     min_size=1, max_size=25).filter(
         lambda ps: any(x != y for x, y, _ in ps)))
@@ -97,11 +94,11 @@ def test_quarter_guarantee_property(pairs):
     # a self pair can never cross a two-coloring
     pm = pair_maps([(x, y, w) for x, y, w in pairs if x != y])
     part = deterministic_partition(pm, alphabet)
-    assert replaced_weight(pm, part) * 4 >= pm.total_weight()
+    assert replaced_weight(pm, part) * 4 >= total_weight(pm)
 
 
 def test_randomized_partition_is_seed_stable():
-    syms = list(range(-20, 0))
+    syms = list(range(1, 21))
     p1 = randomized_partition(syms, random.Random(7))
     p2 = randomized_partition(syms, random.Random(7))
     p3 = randomized_partition(syms, random.Random(8))
@@ -120,8 +117,8 @@ def test_randomized_partition_is_seed_stable():
 def test_partitions_match_reference(size, terminal_share, form, seed):
     rng = random.Random(seed)
     terms = min(256, round(size * terminal_share))
-    syms = ([-c for c in rng.sample(range(1, 257), terms)]
-            + rng.sample(range(1, 4 * size + 1), size - terms))
+    syms = (rng.sample(range(1, 257), terms)
+            + rng.sample(range(257, 4 * size + 257), size - terms))
     rng.shuffle(syms)
     triples = [(rng.choice(syms), rng.choice(syms), rng.randint(1, 1000))
                for _ in range(rng.randint(0, 3 * size))]
@@ -137,16 +134,16 @@ def test_partitions_match_reference(size, terminal_share, form, seed):
 
 
 def test_partition_rejects_keys_that_are_not_level_symbols():
-    # symbol_rank(0) == symbol_rank(-256), and a key below -256 ranks
-    # like a rule id; either would pair symbols the split never named
-    for bad in (0, -257, -10**6):
+    # level symbols start at 1; a key below would index the side table
+    # from its end, or its slot 0 that stands for no symbol
+    for bad in (0, -1, -257, -10**6):
         with pytest.raises(PartitionError, match=str(bad)):
             Partition({A: True, bad: False})
     with pytest.raises(PartitionError, match="-300"):
         Partition({A: True, -300: False, 0: True})
     with pytest.raises(PartitionError):
         recompress_string(bytes([255, 0]), source=PartitionSource(
-            injected=[Partition({0: True, -1: False})]))
+            injected=[Partition({0: True, 1: False})]))
 
 
 def test_mixed_strategy_alternates():
@@ -201,9 +198,9 @@ def test_round_records_json_frozen():
 
 
 def test_partition_side_table_by_rank():
-    part = Partition({A: True, B: False, 5: False})
-    syms = np.array([A, B, C, 5, 6, 10**6])
-    assert part.sides_of(syms).tolist() == [1, -1, 0, -1, 0, 0]
+    part = Partition({A: True, B: False, 261: False})
+    syms = np.array([A, B, C, 261, 262, 10**6, 0, -2])
+    assert part.sides_of(syms).tolist() == [1, -1, 0, -1, 0, 0, 0, 0]
 
 
 def keys(*pairs):
@@ -215,8 +212,8 @@ def keys(*pairs):
 def test_builder_assigns_run_ids_in_sorted_order():
     b = RlslpBuilder()
     ids = b.add_runs(*keys((A, 2), (B, 3), (A, 2)))
-    assert ids.tolist() == [2, 1, 2]
-    assert b.rules == [RunRule(B, 3), RunRule(A, 2)]
+    assert output_ids(ids).tolist() == [2, 1, 2]
+    assert builder_rules(b) == [RunRule(-B, 3), RunRule(-A, 2)]
     assert b.productions == 2
 
 
@@ -224,16 +221,16 @@ def test_builder_pair_ids_are_per_round():
     b = RlslpBuilder()
     first = b.add_pairs(*keys((A, B)))
     second = b.add_pairs(*keys((A, B)))
-    assert first.tolist() == [1]
-    assert second.tolist() == [2]
-    assert b.rules == [SeqRule((A, B)), SeqRule((A, B))]
+    assert output_ids(first).tolist() == [1]
+    assert output_ids(second).tolist() == [2]
+    assert builder_rules(b) == [SeqRule((-A, -B)), SeqRule((-A, -B))]
 
 
 def test_builder_finish_wraps_unless_start_is_last():
     b = RlslpBuilder()
     b.add_runs(*keys((A, 3)))
     g = b.finish(1)
-    assert g.rules == [RunRule(A, 3)]
+    assert g.rules == [RunRule(-A, 3)]
 
     b2 = RlslpBuilder()
     b2.add_runs(*keys((A, 3), (B, 2)))
@@ -241,8 +238,8 @@ def test_builder_finish_wraps_unless_start_is_last():
     assert g2.rules[-1] == SeqRule((1,))
 
     b3 = RlslpBuilder()
-    g3 = b3.finish(A)
-    assert g3.rules == [SeqRule((A,))]
+    g3 = b3.finish(-A)
+    assert g3.rules == [SeqRule((-A,))]
 
 
 def test_round_limit_tracks_log():
