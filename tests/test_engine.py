@@ -45,6 +45,26 @@ def slp_of(t: bytes) -> Grammar:
     return prune_slp(lz_to_slg(parse_bentley_mcilroy(t, 8)))
 
 
+# --- symbol encoding ---------------------------------------------------
+
+
+def test_enc_dec_frozen():
+    # a working entry stores output symbol s as -symbol_rank(s), and
+    # output_ids reads the rank back
+    assert [-symbol_rank(s) for s in (A, 1, 5)] == [A, -257, -261]
+    assert output_ids(-np.array([-257])).tolist() == [1]
+    assert output_ids(-np.array([A])).tolist() == [A]
+    assert rhs(LevelGrammar.from_slp(Grammar([SeqRule((A, B))])), 1) == \
+        [A, B]
+
+
+@given(st.one_of(st.integers(-256, -1), st.integers(1, 10**9)))
+def test_enc_dec_round_trip(sym):
+    entry = -symbol_rank(sym)
+    assert entry < 0
+    assert output_ids(-np.array([entry])).tolist() == [sym]
+
+
 # --- level grammar import ----------------------------------------------
 
 
