@@ -80,12 +80,14 @@ def _heights(ptr: np.ndarray, ent: np.ndarray) -> np.ndarray:
 
 
 def _layered(ptr: np.ndarray, ent: np.ndarray) -> "LevelGrammar":
-    """The flat grammar (ptr, ent), in topological order and every rule
-    reachable from the last, as a LevelGrammar: sorted by the heights it
-    computes, renumbered from 1 in that order, and cut into layers."""
+    """The flat grammar (ptr, ent), its rules in any order and every
+    rule reachable from the start, as a LevelGrammar: sorted by the
+    heights it computes, so the start, the one highest rule, comes last,
+    renumbered from 1 in that order, and cut into layers."""
     height = _heights(ptr, ent)
-    # a stable sort by height keeps the order topological: ties in
-    # height stay in id order
+    # rules of one height never reference each other, so any order is
+    # topological; the stable sort keeps each layer in id order, the
+    # layout the lock-step and frozen tests pin
     rules = np.argsort(height[1:], kind="stable") + 1
     remap = np.zeros(len(ptr), dtype=np.int64)
     remap[rules] = np.arange(1, len(rules) + 1)
@@ -505,8 +507,8 @@ def compute_nocc(lg: LevelGrammar) -> np.ndarray:
 
 
 def collect_pair_frequencies(lg: LevelGrammar, occ: np.ndarray
-                             ) -> tuple[PairMaps, np.ndarray]:
-    """Weighted boundary pairs of all reachable rules, and the sorted
+                             ) -> PairMaps:
+    """Weighted boundary pairs of all reachable rules, over the sorted
     level alphabet.
 
     Every adjacent position of the level string crosses exactly one rule
@@ -516,12 +518,14 @@ def collect_pair_frequencies(lg: LevelGrammar, occ: np.ndarray
     ent, row = lg.ent, lg.row
     first, last = lg.ends
     weight = occ[row]
+    # the symbols stored (as -entry) in reachable rules hold every
+    # boundary symbol of one; at is a symbol's position among them
+    used = np.bincount(-ent[(ent < 0) & (weight > 0)]) > 0
+    at = used.cumsum() - 1
     # adjacent entries of one reachable rule
     inner = (weight[:-1] > 0) & (row[1:] == row[:-1])
-    maps = PairMaps()
-    maps.add_arrays(last[:-1][inner], first[1:][inner], weight[:-1][inner])
-    # a stored level symbol is -entry
-    return maps, np.bincount(-ent[(ent < 0) & (weight > 0)]).nonzero()[0]
+    return PairMaps(used.nonzero()[0], at[last[:-1][inner]],
+                    at[first[1:][inner]], weight[:-1][inner])
 
 
 def _pair_up(val, key, side, r, cl, cr):
@@ -601,9 +605,9 @@ def recompress(slp: Grammar, strategy: str = DEFAULT_STRATEGY,
         else:
             occ = compute_nocc(lg)
             laps.lap("nocc_s")
-            pairs, alphabet = collect_pair_frequencies(lg, occ)
+            pairs = collect_pair_frequencies(lg, occ)
             laps.lap("pair_count_s")
-            part = source.next_partition(pairs, alphabet)
+            part = source.next_partition(pairs)
             laps.lap("partition_s")
             lg = pcomp(lg, part, builder)
         laps.lap("rewrite_s")

@@ -39,17 +39,13 @@ def bcomp_string(s: np.ndarray, builder: RlslpBuilder) -> np.ndarray:
     return out
 
 
-def pair_stats_string(s: np.ndarray) -> tuple[PairMaps, np.ndarray]:
-    """Weighted adjacent-pair counts and the level alphabet."""
-    usyms, inv = np.unique(s, return_inverse=True)
-    maps = PairMaps()
-    if len(s) >= 2:
-        width = len(usyms)
-        codes = inv[:-1].astype(np.int64) * width + inv[1:]
-        ucodes, counts = np.unique(codes, return_counts=True)
-        maps.add_arrays(usyms[ucodes // width], usyms[ucodes % width],
-                        counts)
-    return maps, usyms
+def pair_stats_string(s: np.ndarray) -> PairMaps:
+    """Weighted adjacent-pair counts over the level alphabet."""
+    syms, inv = np.unique(s, return_inverse=True)
+    width = len(syms)
+    codes, counts = np.unique(inv[:-1].astype(np.int64) * width + inv[1:],
+                              return_counts=True)
+    return PairMaps(syms, codes // width, codes % width, counts)
 
 
 def pcomp_string(s: np.ndarray, part, builder: RlslpBuilder) -> np.ndarray:
@@ -88,9 +84,9 @@ def string_rounds(s: np.ndarray, round_no: int, builder: RlslpBuilder,
         if round_no % 2 == 0:
             s = bcomp_string(s, builder)
         else:
-            pairs, alphabet = pair_stats_string(s)
+            pairs = pair_stats_string(s)
             laps.lap("pair_count_s")
-            part = source.next_partition(pairs, alphabet)
+            part = source.next_partition(pairs)
             laps.lap("partition_s")
             s = pcomp_string(s, part, builder)
         laps.lap("rewrite_s")

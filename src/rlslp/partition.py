@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grammar import Grammar
+from .grammar import Grammar, _starts
 
 STRATEGIES = ("det", "rand", "mixed")
 DEFAULT_STRATEGY = "mixed"
@@ -44,33 +44,26 @@ def output_ids(levels: np.ndarray) -> np.ndarray:
 
 
 class PairMaps:
-    """Weighted adjacent-pair counts in text orientation.
+    """A pair round's weighted pair graph: the sorted level alphabet
+    `syms` (int64 ranks) and its adjacent pairs in text orientation, as
+    positions in syms.
 
-    Pair i says that symbol first[i] directly precedes second[i], with
-    total weight weight[i]; every distinct pair is stored once.
+    Pair i says that symbol syms[first[i]] directly precedes
+    syms[second[i]], with total weight weight[i]; every distinct pair is
+    stored once, in the order of its key first * len(syms) + second.
     """
 
-    def __init__(self) -> None:
-        self.first = np.empty(0, dtype=np.int64)
-        self.second = np.empty(0, dtype=np.int64)
-        self.weight = np.empty(0, dtype=np.int64)
-
-    def add_arrays(self, first: np.ndarray, second: np.ndarray,
-                   weight: np.ndarray) -> None:
-        """Count weight[i] for every pair (first[i], second[i]); all three
-        are int64 arrays.  Called once, on a fresh PairMaps."""
-        if len(first) == 0:
-            return
-        # symbols are below the largest one + 1, so the packed key fits
-        # in int64 for any alphabet of fewer than 2^31 symbols
-        span = int(max(first.max(), second.max())) + 1
-        if span > 1 << 31:
-            raise ValueError("level alphabet too large for pair keys")
-        key = first * span + second
+    def __init__(self, syms: np.ndarray, first: np.ndarray,
+                 second: np.ndarray, weight: np.ndarray) -> None:
+        """Count weight[i] for every pair (first[i], second[i]) of
+        positions in syms; all four are int64 arrays."""
+        self.syms = syms
+        # a key is below len(syms)**2, which fits in int64 for any
+        # alphabet under 3 * 10^9 symbols, and syms alone would then
+        # take 24 GB
+        key = first * len(syms) + second
         order = np.argsort(key)
-        key = key[order]
-        starts = np.flatnonzero(np.concatenate(([True],
-                                                key[1:] != key[:-1])))
+        starts = _starts(key[order])
         at = order[starts]
         self.first, self.second = first[at], second[at]
         self.weight = np.add.reduceat(weight[order], starts)
@@ -109,33 +102,16 @@ class Partition:
         return table[np.clip(syms, 0, len(table) - 1)]
 
 
-def _rank_order(alphabet) -> np.ndarray:
-    """The alphabet, an int64 array or a collection of ints, as an int64
-    array in rank order, which is plain integer order."""
-    if not isinstance(alphabet, np.ndarray):
-        alphabet = np.array(list(alphabet), dtype=np.int64)
-    return np.sort(alphabet)
-
-
-def deterministic_partition(pairs: PairMaps, alphabet) -> Partition:
+def deterministic_partition(pairs: PairMaps) -> Partition:
     """Greedy split maximizing crossing weight, then oriented the better
     way round.  Replaced weight is at least a quarter of the total.
 
     Symbols are placed in rank order, each opposite the heavier side of
     its already placed neighbors; ties go left.
     """
-    syms = _rank_order(alphabet)
-    count = len(syms)
-    if count == 0:
-        return Partition.from_arrays(syms, np.zeros(0, dtype=bool))
-
-    def position(side: np.ndarray) -> np.ndarray:
-        # place in rank order; -1 outside the alphabet (never placed)
-        at = np.minimum(np.searchsorted(syms, side), count - 1)
-        return np.where(syms[at] == side, at, -1)
-
-    ia, ib = position(pairs.first), position(pairs.second)
-    edge = (ia >= 0) & (ib >= 0) & (ia != ib)
+    ia, ib = pairs.first, pairs.second
+    count = len(pairs.syms)
+    edge = ia != ib
     # each edge weighs on the later-placed end, from the earlier one
     later = np.maximum(ia, ib)[edge]
     # a symbol's balance is an integer sum, the same in any order
@@ -154,19 +130,22 @@ def deterministic_partition(pairs: PairMaps, alphabet) -> Partition:
         if balance > 0:
             left[i] = False
     side = np.array(left, dtype=bool)
-    placed = (ia >= 0) & (ib >= 0)
-    la, lb = side[ia[placed]], side[ib[placed]]
-    w = pairs.weight[placed]
+    la, lb = side[ia], side[ib]
+    w = pairs.weight
     flip = w[la & ~lb].sum() < w[~la & lb].sum()
-    return Partition.from_arrays(syms, side ^ flip)
+    return Partition.from_arrays(pairs.syms, side ^ flip)
 
 
 def randomized_partition(alphabet, rng: random.Random) -> Partition:
-    """Independent fair coin per symbol, in rank order for stable
-    replay under a fixed seed.  Bit 31 of each little-endian 32-bit word
-    of one getrandbits(32 n) call is what the successive getrandbits(1)
-    calls would return, with the same generator state afterwards."""
-    syms = _rank_order(alphabet)
+    """Independent fair coin per symbol of the alphabet (an int64 array
+    or a collection of ints), in rank order, which is plain integer
+    order, for stable replay under a fixed seed.  Bit 31 of each
+    little-endian 32-bit word of one getrandbits(32 n) call is what the
+    successive getrandbits(1) calls would return, with the same
+    generator state afterwards."""
+    if not isinstance(alphabet, np.ndarray):
+        alphabet = np.array(list(alphabet), dtype=np.int64)
+    syms = np.sort(alphabet)
     words = rng.getrandbits(32 * len(syms)).to_bytes(4 * len(syms), "little")
     return Partition.from_arrays(
         syms, np.frombuffer(words, dtype="<u4") >> 31 == 1)
@@ -190,7 +169,7 @@ class PartitionSource:
         self.pcomp_rounds = 0
         self.log: list[Partition] = []
 
-    def next_partition(self, pairs: PairMaps, alphabet) -> Partition:
+    def next_partition(self, pairs: PairMaps) -> Partition:
         if self.injected is not None:
             if self.pcomp_rounds >= len(self.injected):
                 raise PartitionError(
@@ -198,9 +177,9 @@ class PartitionSource:
             part = self.injected[self.pcomp_rounds]
         elif self.strategy == "det" or (self.strategy == "mixed"
                                         and self.pcomp_rounds % 2 == 0):
-            part = deterministic_partition(pairs, alphabet)
+            part = deterministic_partition(pairs)
         else:
-            part = randomized_partition(alphabet, self.rng)
+            part = randomized_partition(pairs.syms, self.rng)
         self.pcomp_rounds += 1
         self.log.append(part)
         return part

@@ -15,8 +15,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .grammar import (MAX_ALPHABET, Grammar, GrammarError, SeqRule,
-                      _reachable, power, validate)
+from .grammar import (MAX_ALPHABET, Grammar, SeqRule, _check_valid,
+                      _reachable, power)
 from .lz import Factorization, check_factorization
 
 # symbol x is stored at index x + _T of the builder's lists: terminals
@@ -390,11 +390,9 @@ def prune_slp(g: Grammar) -> Grammar:
     """The rules the start reaches, in their order and renumbered.
 
     A grammar that `validate` rejects, also for a rule the start does
-    not reach, raises GrammarError naming the rule.  A grammar whose
-    rules are all reachable, such as every one lz_to_slg makes, is
-    returned as it is.
+    not reach, raises GrammarError, naming the rule if the fault is in
+    one.  A grammar whose rules are all reachable, such as every one
+    lz_to_slg makes, is returned as it is.
     """
-    report = validate(g)
-    if not report.ok:
-        raise GrammarError(f"rule {report.rule_index}: {report.message}")
+    _check_valid(g)
     return _live(g) if len(g) else g

@@ -151,7 +151,8 @@ def ref_expand(g: Grammar, rule_index: int | None = None) -> bytes:
 def ref_prune(g: Grammar) -> Grammar:
     report = ref_validate(g)
     if not report.ok:
-        raise GrammarError(f"rule {report.rule_index}: {report.message}")
+        where = f"rule {report.rule_index}: " if report.rule_index else ""
+        raise GrammarError(where + report.message)
     rules = g.rules
     if not rules:
         return g
@@ -243,8 +244,10 @@ def total_weight(pairs: PairMaps) -> int:
 
 
 def oriented_items(pairs: PairMaps):
-    """Yield ((a, b), weight) in original text orientation."""
-    yield from zip(zip(pairs.first.tolist(), pairs.second.tolist()),
+    """Yield ((a, b), weight) in original text orientation, a and b
+    level symbols."""
+    yield from zip(zip(pairs.syms[pairs.first].tolist(),
+                       pairs.syms[pairs.second].tolist()),
                    pairs.weight.tolist())
 
 
@@ -255,14 +258,15 @@ def sides(part: Partition) -> dict[int, bool]:
 
 def replaced_weight(pairs: PairMaps, part: Partition) -> int:
     """Total weight of the pairs a replacement pass will consume."""
-    crossing = ((part.sides_of(pairs.first) == 1)
-                & (part.sides_of(pairs.second) == -1))
+    crossing = ((part.sides_of(pairs.syms[pairs.first]) == 1)
+                & (part.sides_of(pairs.syms[pairs.second]) == -1))
     return int(pairs.weight[crossing].sum())
 
 
-def ref_deterministic_partition(pairs: PairMaps, alphabet) -> Partition:
-    """Greedy split maximizing crossing weight, then oriented the better
-    way round, one symbol at a time over a dict of neighbour weights.
+def ref_deterministic_partition(pairs: PairMaps) -> Partition:
+    """Greedy split of the alphabet pairs.syms maximizing crossing
+    weight, then oriented the better way round, one symbol at a time
+    over a dict of neighbour weights.
     Replaced weight is at least a quarter of the total.
 
     Symbols are placed in rank order, each opposite the heavier side of
@@ -270,7 +274,7 @@ def ref_deterministic_partition(pairs: PairMaps, alphabet) -> Partition:
     when the weight of the pairs it takes left to right is below that of
     the pairs right to left.
     """
-    syms = sorted(int(s) for s in alphabet)
+    syms = sorted(int(s) for s in pairs.syms)
     near: dict[int, dict[int, int]] = {s: {} for s in syms}
     for (a, b), w in oriented_items(pairs):
         if a != b and a in near and b in near:

@@ -331,7 +331,7 @@ def test_bcomp_keeps_exactly_the_grammars_without_runs():
         if i % 3 and len(lg.level_string()) >= 2:
             # a later round's grammar, over fresh pair symbols
             lg = bcomp(lg, RlslpBuilder())
-            _, alphabet = collect_pair_frequencies(lg, compute_nocc(lg))
+            alphabet = collect_pair_frequencies(lg, compute_nocc(lg)).syms
             part = randomized_partition(alphabet, random.Random(i))
             lg = pcomp(lg, part, RlslpBuilder())
         s = lg.level_string()
@@ -446,6 +446,12 @@ def _unbalanced_grammars(rng: random.Random):
         made += 1
 
 
+def same_table(a, b) -> bool:
+    """Whether two pair tables are equal array for array."""
+    return all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("syms", "first", "second", "weight"))
+
+
 def test_layered_sweeps_match_string_engine_on_unbalanced_grammars():
     rng = random.Random(510)
     for g in _unbalanced_grammars(rng):
@@ -457,12 +463,13 @@ def test_layered_sweeps_match_string_engine_on_unbalanced_grammars():
         assert builder_rules(bg) == builder_rules(bs)
         if len(s) < 2:
             continue
-        pairs, alphabet = collect_pair_frequencies(lg, compute_nocc(lg))
-        want_pairs, want_alphabet = pair_stats_string(s)
-        assert set(alphabet) == set(want_alphabet)
+        pairs = collect_pair_frequencies(lg, compute_nocc(lg))
+        want_pairs = pair_stats_string(s)
+        assert set(pairs.syms) == set(want_pairs.syms)
         assert dict(oriented_items(pairs)) == dict(
             oriented_items(want_pairs))
-        part = randomized_partition(alphabet, random.Random(rng.random()))
+        assert same_table(pairs, want_pairs)
+        part = randomized_partition(pairs.syms, random.Random(rng.random()))
         out = pcomp(lg, part, bg)
         assert out.level_string().tolist() == pcomp_string(
             s, part, bs).tolist()
@@ -521,8 +528,8 @@ def test_nocc_against_tree_walk():
 def test_pair_frequencies_frozen():
     g = Grammar([SeqRule((A, B)), SeqRule((A, B)), SeqRule((1, 2))])
     lg = LevelGrammar.from_slp(g)
-    maps, alphabet = collect_pair_frequencies(lg, compute_nocc(lg))
-    assert set(output_ids(alphabet)) == {A, B}
+    maps = collect_pair_frequencies(lg, compute_nocc(lg))
+    assert set(output_ids(maps.syms)) == {A, B}
     a, b = symbol_rank(A), symbol_rank(B)
     assert dict(oriented_items(maps)) == {(a, b): 2, (b, a): 1}
 
@@ -534,11 +541,12 @@ def test_pair_frequencies_match_level_string():
         lengths, _ = lg.level_lengths()
         if lengths[-1] > 50000:
             continue
-        maps, alphabet = collect_pair_frequencies(lg, compute_nocc(lg))
+        maps = collect_pair_frequencies(lg, compute_nocc(lg))
         s = lg.level_string()
-        want_maps, want_alpha = pair_stats_string(s)
-        assert set(alphabet) == set(want_alpha)
+        want_maps = pair_stats_string(s)
+        assert set(maps.syms) == set(want_maps.syms)
         assert dict(oriented_items(maps)) == dict(oriented_items(want_maps))
+        assert same_table(maps, want_maps)
         assert total_weight(maps) == len(s) - 1
 
 
@@ -556,7 +564,7 @@ def test_pcomp_matches_string_engine():
         s = bcomp_string(text_to_levels(t), bs)
         if len(s) < 2:
             continue
-        _, alphabet = pair_stats_string(s)
+        alphabet = pair_stats_string(s).syms
         part = randomized_partition(alphabet, random.Random(rng.random()))
         out = pcomp(lg, part, bg)
         want = pcomp_string(s, part, bs)
@@ -706,8 +714,8 @@ def test_rules_stay_shared_on_the_acceptance_corpus():
         if i % 2 == 0:
             lg = bcomp(lg, builder)
         else:
-            pairs, alphabet = collect_pair_frequencies(lg, compute_nocc(lg))
-            lg = pcomp(lg, source.next_partition(pairs, alphabet), builder)
+            pairs = collect_pair_frequencies(lg, compute_nocc(lg))
+            lg = pcomp(lg, source.next_partition(pairs), builder)
         refs = np.bincount(lg.ent[lg.ent > 0], minlength=len(lg) + 1)
         assert refs[1:-1].min(initial=2) >= 2
         lengths, size = lg.level_lengths()
@@ -820,7 +828,7 @@ def test_pair_round_weights_are_the_length_drop(t, seed):
             assert rec.total_weight == before - 1
             # the partition's crossing weight on the level string before
             levels = [symbol_rank(x) for x in res.trace[i - 1].tolist()]
-            pairs, _ = pair_stats_string(np.array(levels))
+            pairs = pair_stats_string(np.array(levels))
             assert replaced_weight(pairs, res.partitions[i // 2]) == \
                 rec.replaced_weight
 

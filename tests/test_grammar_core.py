@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from conftest import memo_sizes, random_rlslp
 from reference import ref_expand
 from rlslp import cli, grammar
+from rlslp.engine import recompress
 from rlslp.grammar import (FormatError, Grammar, GrammarError, RunRule,
                            SeqRule, decode_grammar, encode_grammar, expand,
                            expansion_lengths, grammar_size, iter_expansion,
                            term, validate)
+from rlslp.slg import prune_slp
 
 A, B = term(ord("a")), term(ord("b"))
 
@@ -50,6 +52,12 @@ def test_validate_rejects_alphabet_above_bytes():
     assert validate(Grammar([SeqRule((-1,))], alphabet_size=256)).ok
     with pytest.raises(GrammarError, match="alphabet size 400"):
         expand(g)
+    # the one raising form names no rule for a fault outside the rules
+    message = "^alphabet size 400 outside 0..256$"
+    with pytest.raises(GrammarError, match=message):
+        prune_slp(g)
+    with pytest.raises(GrammarError, match=message):
+        recompress(g)
 
 
 def test_decode_rejects_alphabet_above_bytes():

@@ -80,8 +80,8 @@ def test_bcomp_against_manual_scan():
 
 def test_pair_stats_counts_and_alphabet():
     s = text_to_levels(b"abab")
-    maps, alphabet = pair_stats_string(s)
-    assert set(alphabet) == {level("a"), level("b")}
+    maps = pair_stats_string(s)
+    assert set(maps.syms) == {level("a"), level("b")}
     assert dict(oriented_items(maps)) == {
         (level("a"), level("b")): 2, (level("b"), level("a")): 1}
     assert total_weight(maps) == 3

@@ -13,7 +13,7 @@ from reference import (builder_rules, oriented_items,
                        ref_deterministic_partition, ref_randomized_partition,
                        replaced_weight, sides, symbol_rank, total_weight)
 from rlslp.grammar import RunRule, SeqRule
-from rlslp.naive import recompress_string
+from rlslp.naive import pair_stats_string, recompress_string
 from rlslp.partition import (PairMaps, Partition, PartitionError,
                              PartitionSource, RlslpBuilder,
                              RoundRecord, deterministic_partition,
@@ -23,11 +23,13 @@ from rlslp.pipeline import StatsReport
 A, B, C = 97, 98, 99  # level symbols of terminals -97, -98, -99
 
 
-def pair_maps(triples) -> PairMaps:
-    """Pair counts from (x, y, weight) triples."""
-    pm = PairMaps()
-    pm.add_arrays(*map(np.array, zip(*triples)))
-    return pm
+def pair_maps(triples, alphabet) -> PairMaps:
+    """Pair counts from (x, y, weight) triples of level symbols in the
+    alphabet, a collection of them."""
+    syms = np.sort(np.array(list(alphabet), dtype=np.int64))
+    x, y, w = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    return PairMaps(syms, np.searchsorted(syms, x), np.searchsorted(syms, y),
+                    w)
 
 
 def test_symbol_rank_orders_terminals_before_rules():
@@ -41,14 +43,14 @@ def test_symbol_rank_orders_terminals_before_rules():
 
 
 def test_pair_maps_recover_orientation():
-    pm = pair_maps([(A, B, 3), (B, A, 5), (A, C, 2)])
+    pm = pair_maps([(A, B, 3), (B, A, 5), (A, C, 2)], [A, B, C])
     assert dict(oriented_items(pm)) == {(A, B): 3, (B, A): 5, (A, C): 2}
     assert total_weight(pm) == 10
 
 
 def test_two_symbol_cut_takes_everything():
-    pm = pair_maps([(A, B, 10)])
-    part = deterministic_partition(pm, [A, B])
+    pm = pair_maps([(A, B, 10)], [A, B])
+    part = deterministic_partition(pm)
     assert replaced_weight(pm, part) == 10
 
 
@@ -62,9 +64,9 @@ def _exhaustive_best(pm: PairMaps, alphabet) -> int:
 
 
 def test_triangle_against_exhaustive_search():
-    pm = pair_maps([(A, B, 3), (B, C, 3), (A, C, 3)])
+    pm = pair_maps([(A, B, 3), (B, C, 3), (A, C, 3)], [A, B, C])
     assert _exhaustive_best(pm, [A, B, C]) == 6
-    part = deterministic_partition(pm, [A, B, C])
+    part = deterministic_partition(pm)
     got = replaced_weight(pm, part)
     assert got * 4 >= total_weight(pm)
     # the greedy is not optimal here (cuts one edge of three), but it
@@ -77,8 +79,8 @@ def test_quarter_guarantee_random_instances():
     for _ in range(300):
         syms = rng.sample(range(1, 257), rng.randint(2, 12))
         pm = pair_maps([(*rng.sample(syms, 2), rng.randint(1, 50))
-                        for _ in range(rng.randint(1, 30))])
-        part = deterministic_partition(pm, syms)
+                        for _ in range(rng.randint(1, 30))], syms)
+        part = deterministic_partition(pm)
         assert set(sides(part)) == set(syms)
         assert replaced_weight(pm, part) * 4 >= total_weight(pm)
         best = _exhaustive_best(pm, syms)
@@ -94,9 +96,18 @@ def test_quarter_guarantee_random_instances():
 def test_quarter_guarantee_property(pairs):
     alphabet = {s for x, y, _ in pairs for s in (x, y)}
     # a self pair can never cross a two-coloring
-    pm = pair_maps([(x, y, w) for x, y, w in pairs if x != y])
-    part = deterministic_partition(pm, alphabet)
+    pm = pair_maps([(x, y, w) for x, y, w in pairs if x != y], alphabet)
+    part = deterministic_partition(pm)
     assert replaced_weight(pm, part) * 4 >= total_weight(pm)
+
+
+def test_tables_without_pairs_partition_their_alphabet():
+    one = pair_stats_string(np.array([5]))
+    assert one.syms.tolist() == [5]
+    assert len(one.first) == len(one.second) == len(one.weight) == 0
+    assert deterministic_partition(one).syms.tolist() == [5]
+    part = deterministic_partition(pair_maps([], []))
+    assert len(part.syms) == len(part.left) == 0
 
 
 def test_randomized_partition_is_seed_stable():
@@ -124,11 +135,11 @@ def test_partitions_match_reference(size, terminal_share, form, seed):
     rng.shuffle(syms)
     triples = [(rng.choice(syms), rng.choice(syms), rng.randint(1, 1000))
                for _ in range(rng.randint(0, 3 * size))]
-    pm = pair_maps(triples) if triples else PairMaps()
     alphabet = {"list": syms, "set": set(syms),
                 "array": np.array(syms, dtype=np.int64)}[form]
-    got = deterministic_partition(pm, alphabet)
-    assert sides(got) == sides(ref_deterministic_partition(pm, alphabet))
+    pm = pair_maps(triples, alphabet)
+    got = deterministic_partition(pm)
+    assert sides(got) == sides(ref_deterministic_partition(pm))
     ours, theirs = random.Random(seed), random.Random(seed)
     got = randomized_partition(alphabet, ours)
     assert sides(got) == sides(ref_randomized_partition(alphabet, theirs))
@@ -149,12 +160,12 @@ def test_partition_rejects_keys_that_are_not_level_symbols():
 
 
 def test_mixed_strategy_alternates():
-    pm = pair_maps([(A, B, 4), (B, C, 1)])
     syms = [A, B, C]
+    pm = pair_maps([(A, B, 4), (B, C, 1)], syms)
     src = PartitionSource(strategy="mixed", seed=11)
-    first = src.next_partition(pm, syms)
-    second = src.next_partition(pm, syms)
-    assert sides(first) == sides(deterministic_partition(pm, syms))
+    first = src.next_partition(pm)
+    second = src.next_partition(pm)
+    assert sides(first) == sides(deterministic_partition(pm))
     assert sides(second) == sides(randomized_partition(syms,
                                                       random.Random(11)))
     assert src.pcomp_rounds == 2
@@ -169,11 +180,11 @@ def test_make_partition_rejects_unknown_strategy():
 def test_injected_partitions_replay_then_exhaust():
     parts = [Partition({A: True, B: False}), Partition({A: False, B: True})]
     src = PartitionSource(injected=parts)
-    pm = pair_maps([(A, B, 1)])
-    assert sides(src.next_partition(pm, [A, B])) == sides(parts[0])
-    assert sides(src.next_partition(pm, [A, B])) == sides(parts[1])
+    pm = pair_maps([(A, B, 1)], [A, B])
+    assert sides(src.next_partition(pm)) == sides(parts[0])
+    assert sides(src.next_partition(pm)) == sides(parts[1])
     with pytest.raises(PartitionError):
-        src.next_partition(pm, [A, B])
+        src.next_partition(pm)
     assert src.log == parts
 
 
